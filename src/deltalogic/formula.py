@@ -166,10 +166,6 @@ def atoms_of(f: Formula) -> frozenset[str]:
     return frozenset(g.name for g in iter_subformulas(f) if isinstance(g, Atom))
 
 
-def contains_box(f: Formula) -> bool:
-    return any(isinstance(g, Box) for g in iter_subformulas(f))
-
-
 # ---------------------------------------------------------------------------
 # Parser.
 

@@ -21,8 +21,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import semantics
-from .formula import Formula, implies, is_tautology, or_, render
-from .model import NeighborhoodModel
+from .formula import RESERVED_ATOM, Formula, atoms_of, implies, is_tautology, or_, render
+from .model import ALL_FRAMES, NeighborhoodModel, model_stream
 
 
 @dataclass(frozen=True)
@@ -218,18 +218,8 @@ def compare_state(x: TheorySet, universe: Universe) -> StateComparison:
                            tuple(mismatches))
 
 
-def compare_lambdas(model: NeighborhoodModel, base: Sequence[Formula],
-                    depth: int) -> LambdaComparison:
+def compare_lambdas(model: NeighborhoodModel, universe: Universe) -> LambdaComparison:
     """Compare the two selections at every state of the model."""
-    universe = close_universe(base, depth)
-    states = tuple(compare_state(build_theory(model, s, universe), universe)
-                   for s in model.states())
-    return LambdaComparison(model, states)
-
-
-def compare_lambdas_universe(model: NeighborhoodModel,
-                             universe: Universe) -> LambdaComparison:
-    """Like compare_lambdas, for a prebuilt universe (saves re-closing)."""
     states = tuple(compare_state(build_theory(model, s, universe), universe)
                    for s in model.states())
     return LambdaComparison(model, states)
@@ -264,11 +254,6 @@ def lambda_equality_scan(base: Sequence[Formula], depth: int,
     itself works on cached truth sets; any difference it sees is recomputed
     through the reference selection functions before being reported.
     """
-    import random as _random
-
-    from .formula import RESERVED_ATOM, atoms_of
-    from .model import ALL_FRAMES, enumerate_models, random_model
-
     universe = close_universe(base, depth)
     members = universe.members
     count = len(members)
@@ -278,9 +263,10 @@ def lambda_equality_scan(base: Sequence[Formula], depth: int,
                        for i in range(count)]
     differences = []
     checked = 0
-
-    def visit(model: NeighborhoodModel) -> None:
-        nonlocal checked
+    for model in model_stream(names, ALL_FRAMES,
+                              exhaustive=range(1, exhaustive_states + 1),
+                              random_sizes=(random_states,), trials=random_trials,
+                              seed=seed):
         checked += 1
         memo: dict[Formula, int] = {}
         masks = [semantics.truth_set(model, m, memo=memo) for m in members]
@@ -308,13 +294,6 @@ def lambda_equality_scan(base: Sequence[Formula], depth: int,
                                        universe)
                 if not report.equal:
                     differences.append((model, report))
-
-    for k in range(1, exhaustive_states + 1):
-        for model in enumerate_models(k, names, ALL_FRAMES):
-            visit(model)
-    rng = _random.Random(seed)
-    for _ in range(random_trials):
-        visit(random_model(random_states, names, ALL_FRAMES, seed=rng.getrandbits(48)))
     scope = (f"exhaustive |S|<={exhaustive_states} plus random trials={random_trials} "
              f"|S|={random_states} seed={seed}")
     return EqualityScanReport(scope, checked, tuple(differences))

@@ -309,6 +309,31 @@ def random_model(state_count: int, atoms: Iterable[str],
     return NeighborhoodModel(state_count, tuple(colls), valuation)
 
 
+def model_stream(atoms: Iterable[str], spec: FrameClassSpec,
+                 exhaustive: Iterable[int] = (), random_sizes: Iterable[int] = (),
+                 trials: int = 0, seed: int = 0) -> Iterator[NeighborhoodModel]:
+    """The models of one scan, in scan order.
+
+    First every in-class model of each exhaustive size, in enumeration
+    order; then, for each random size in turn, trials seeded random models.
+    One generator seeded with seed hands every random model its sub-seed,
+    across all random sizes, so a scan is reproducible bit for bit.  An
+    exhaustive size above MAX_EXHAUSTIVE_STATES raises BoundExceededError
+    before any model is produced.
+    """
+    atoms = tuple(atoms)
+    exhaustive = tuple(exhaustive)
+    if any(k > MAX_EXHAUSTIVE_STATES for k in exhaustive):
+        raise BoundExceededError(
+            f"exhaustive search supports |S|<={MAX_EXHAUSTIVE_STATES}")
+    for k in exhaustive:
+        yield from enumerate_models(k, atoms, spec)
+    rng = random.Random(seed)
+    for size in random_sizes:
+        for _ in range(trials):
+            yield random_model(size, atoms, spec, seed=rng.getrandbits(48))
+
+
 # ---------------------------------------------------------------------------
 # JSON persistence.  Subsets are emitted as sorted index lists; per state the
 # subsets are ordered by ascending mask value, so a load/dump cycle is stable.

@@ -14,9 +14,8 @@ is reproducible bit for bit.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from . import semantics
 from .formula import (
@@ -40,15 +39,8 @@ from .formula import (
     RESERVED_ATOM,
 )
 from .lambdas import Universe, build_theory
-from .model import (
-    ALL_FRAMES,
-    BoundExceededError,
-    FrameClassSpec,
-    MAX_EXHAUSTIVE_STATES,
-    NeighborhoodModel,
-    enumerate_models,
-    random_model,
-)
+from .model import ALL_FRAMES, FrameClassSpec, NeighborhoodModel, model_stream
+from .model import random_model  # noqa: F401  (benchmarks/selftest.py traces this binding)
 from .proofs import SYSTEM_AXIOMS, system_axioms, system_class
 
 DEFAULT_SEED = 17
@@ -81,6 +73,14 @@ class SearchConfig:
             return f"exhaustive |S|<={self.max_states}"
         return f"random trials={self.trials} |S|={self.max_states} seed={self.seed}"
 
+    def models(self, spec: FrameClassSpec) -> Iterator[NeighborhoodModel]:
+        """The model stream this scope searches in spec's class."""
+        if self.mode == "exhaustive":
+            return model_stream(self.atoms, spec,
+                                exhaustive=range(1, self.max_states + 1))
+        return model_stream(self.atoms, spec, random_sizes=(self.max_states,),
+                            trials=self.trials, seed=self.seed)
+
 
 @dataclass(frozen=True)
 class Valid:
@@ -97,17 +97,10 @@ class Countermodel:
 Verdict = Union[Valid, Countermodel]
 
 
-def _iter_models(spec: FrameClassSpec, cfg: SearchConfig) -> Iterator[NeighborhoodModel]:
-    if cfg.mode == "exhaustive":
-        if cfg.max_states > MAX_EXHAUSTIVE_STATES:
-            raise BoundExceededError(
-                f"exhaustive search supports |S|<={MAX_EXHAUSTIVE_STATES}")
-        for k in range(1, cfg.max_states + 1):
-            yield from enumerate_models(k, cfg.atoms, spec)
-    else:
-        rng = random.Random(cfg.seed)
-        for _ in range(cfg.trials):
-            yield random_model(cfg.max_states, cfg.atoms, spec, seed=rng.getrandbits(48))
+def _require_atoms(names: Iterable[str], cfg: SearchConfig) -> None:
+    missing = set(names) - set(cfg.atoms) - {RESERVED_ATOM}
+    if missing:
+        raise ValueError(f"formula atoms {sorted(missing)} not in cfg.atoms")
 
 
 def check_validity(f: Formula, spec: FrameClassSpec, cfg: SearchConfig) -> Verdict:
@@ -116,11 +109,9 @@ def check_validity(f: Formula, spec: FrameClassSpec, cfg: SearchConfig) -> Verdi
     Requires the formula's atoms to be covered by cfg.atoms.  Returns the
     first countermodel in search order, or Valid with the searched scope.
     """
-    missing = atoms_of(f) - set(cfg.atoms) - {RESERVED_ATOM}
-    if missing:
-        raise ValueError(f"formula atoms {sorted(missing)} not in cfg.atoms")
+    _require_atoms(atoms_of(f), cfg)
     checked = 0
-    for model in _iter_models(spec, cfg):
+    for model in cfg.models(spec):
         checked += 1
         mask = semantics.truth_set(model, f, extended=cfg.extended)
         if mask != model.full_mask:
@@ -232,8 +223,9 @@ def _compile(formulas: Sequence[Formula]) -> _Program:
 
 def _program_masks(program: _Program, model: NeighborhoodModel) -> list[int]:
     full = model.full_mask
-    neighborhoods = model.neighborhoods
     valuation = model.valuation
+    delta_state_mask = semantics.delta_state_mask
+    box_state_mask = semantics.box_state_mask
     masks: list[int] = []
     append = masks.append
     for op, a, b in program.nodes:
@@ -242,26 +234,11 @@ def _program_masks(program: _Program, model: NeighborhoodModel) -> list[int]:
         elif op == _NOT:
             append(full ^ masks[a])
         elif op == _DELTA:
-            child = masks[a]
-            comp = full ^ child
-            value = 0
-            bit = 1
-            for coll in neighborhoods:
-                if child in coll or comp in coll:
-                    value |= bit
-                bit <<= 1
-            append(value)
+            append(delta_state_mask(model, masks[a]))
         elif op == _ATOM:
             append(valuation.get(a, 0))
         else:
-            child = masks[a]
-            value = 0
-            bit = 1
-            for coll in neighborhoods:
-                if child in coll:
-                    value |= bit
-                bit <<= 1
-            append(value)
+            append(box_state_mask(model, masks[a]))
     return masks
 
 
@@ -270,16 +247,19 @@ def _scan_instances(instances: Sequence[Formula], spec: FrameClassSpec,
                     ) -> tuple[int, list[tuple[int, Countermodel]]]:
     """Scan the class for countermodels to any instance.
 
-    Returns (models checked, [(instance index, countermodel), ...]); each
-    instance contributes at most its first witness.  With first_only the
-    scan stops at the overall first witness.
+    Returns (models checked, [(instance index, countermodel), ...]) in
+    discovery order: stream position, then instance index.  Each instance
+    contributes at most its first witness.  With first_only the scan stops
+    at the overall first witness.  Requires the instances' atoms to be
+    covered by cfg.atoms.
     """
     program = _compile(instances)
+    _require_atoms((a for op, a, _ in program.nodes if op == _ATOM), cfg)
     roots = program.roots
     open_instances = set(range(len(instances)))
     found: list[tuple[int, Countermodel]] = []
     checked = 0
-    for model in _iter_models(spec, cfg):
+    for model in cfg.models(spec):
         checked += 1
         full = model.full_mask
         masks = _program_masks(program, model)
@@ -319,29 +299,36 @@ class SoundnessReport:
         return all(not entry.countermodels for entry in self.per_schema)
 
 
-def _schema_scan(schema: str, spec: FrameClassSpec, pool: Sequence[Formula],
-                 cfg: SearchConfig) -> SchemaSoundness:
-    instances = schema_instances(schema, pool)
+def _soundness_report(system: str | None, spec: FrameClassSpec,
+                      schemas: Sequence[str], pool: Sequence[Formula],
+                      cfg: SearchConfig) -> SoundnessReport:
+    # One scan over the instances of all schemas; each schema keeps its own
+    # witnesses in discovery order.
+    groups = [schema_instances(name, pool) for name in schemas]
+    instances = [f for group in groups for f in group]
     _, found = _scan_instances(instances, spec, cfg)
-    return SchemaSoundness(
-        schema, len(instances),
-        tuple((instances[idx], cm) for idx, cm in found))
+    entries = []
+    start = 0
+    for name, group in zip(schemas, groups):
+        end = start + len(group)
+        entries.append(SchemaSoundness(
+            name, len(group),
+            tuple((instances[idx], cm) for idx, cm in found if start <= idx < end)))
+        start = end
+    return SoundnessReport(system, spec.name(), cfg.scope(), tuple(entries))
 
 
 def axiom_soundness_report(system: str, pool: Sequence[Formula],
                            cfg: SearchConfig) -> SoundnessReport:
     """Check every axiom instance of the system on its own frame class."""
-    spec = system_class(system)
-    entries = tuple(_schema_scan(name, spec, pool, cfg)
-                    for name in system_axioms(system))
-    return SoundnessReport(system, spec.name(), cfg.scope(), entries)
+    return _soundness_report(system, system_class(system), system_axioms(system),
+                             pool, cfg)
 
 
 def schema_soundness(schema: str, spec: FrameClassSpec, pool: Sequence[Formula],
                      cfg: SearchConfig) -> SoundnessReport:
     """Check one schema's instance pool on an arbitrary frame class."""
-    entry = _schema_scan(schema, spec, pool, cfg)
-    return SoundnessReport(None, spec.name(), cfg.scope(), (entry,))
+    return _soundness_report(None, spec, (schema,), pool, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -468,10 +455,13 @@ def schema_validity_experiment(spec: FrameClassSpec, cfg: SearchConfig,
     report is labeled evidence and carries the box-reading caveat.
     """
     cfg = replace(cfg, extended=True)
-    items = []
-    for phi, chi, instance in almost_definability_instances(pool):
-        items.append(SchemaExperimentItem(phi, chi, check_validity(instance, spec, cfg)))
-    return SchemaExperimentReport(spec.name(), cfg.scope(), tuple(items))
+    triples = almost_definability_instances(pool)
+    checked, found = _scan_instances([inst for _, _, inst in triples], spec, cfg)
+    witnesses = dict(found)
+    valid = Valid(cfg.scope(), checked)
+    items = tuple(SchemaExperimentItem(phi, chi, witnesses.get(idx, valid))
+                  for idx, (phi, chi, _) in enumerate(triples))
+    return SchemaExperimentReport(spec.name(), cfg.scope(), items)
 
 
 @dataclass(frozen=True)
@@ -529,12 +519,10 @@ def almost_monotonicity_experiment(universe: Universe, cfg: SearchConfig
     """
     names = sorted({name for member in universe.members
                     for name in atoms_of(member)} - {RESERVED_ATOM})
-    rng = random.Random(cfg.seed)
     violations: list[MonotonicityViolation] = []
     checked = 0
-    for _ in range(cfg.trials):
-        model = random_model(cfg.max_states, names, ALL_FRAMES,
-                             seed=rng.getrandbits(48))
+    for model in model_stream(names, ALL_FRAMES, random_sizes=(cfg.max_states,),
+                              trials=cfg.trials, seed=cfg.seed):
         checked += 1
         for state in model.states():
             qualifying, member_masks = _selection_masks(model, state, universe)

@@ -10,7 +10,6 @@ from deltalogic.lambdas import (
     build_theory,
     close_universe,
     compare_lambdas,
-    compare_lambdas_universe,
     derives,
     kuhn_subset_of_humberstone,
     lambda_equality_scan,
@@ -175,7 +174,7 @@ class TestEquality:
 
     def test_compare_lambdas_reports_equality(self):
         m = make_model(2, [[[0]], []], {"p": [0], "q": [1]})
-        comparison = compare_lambdas(m, [P, Q], 1)
+        comparison = compare_lambdas(m, close_universe([P, Q], 1))
         assert comparison.equal
         assert all(s.universe_size == 6 for s in comparison.states)
 
@@ -194,7 +193,7 @@ class TestEquality:
     @settings(max_examples=60, deadline=None)
     def test_equality_property(self, m):
         u = close_universe([P, Q], 1)
-        comparison = compare_lambdas_universe(m, u)
+        comparison = compare_lambdas(m, u)
         assert comparison.equal
 
 

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from deltalogic.model import (
     has_property,
     make_model,
     model_from_json,
+    model_stream,
     model_to_dict,
     model_to_json,
     random_model,
@@ -173,6 +175,45 @@ class TestRandomModel:
     def test_bound(self):
         with pytest.raises(BoundExceededError):
             random_model(17, [], ALL_FRAMES, seed=0)
+
+
+class TestModelStream:
+    """The stream reproduces the hand-written scan loops draw for draw."""
+
+    def test_exhaustive_then_random(self):
+        spec = FrameClassSpec.parse("i")
+        stream = list(model_stream(("p",), spec, exhaustive=(1, 2),
+                                   random_sizes=(3,), trials=20, seed=5))
+        expected = [m for k in (1, 2) for m in enumerate_models(k, ("p",), spec)]
+        rng = random.Random(5)
+        expected += [random_model(3, ("p",), spec, seed=rng.getrandbits(48))
+                     for _ in range(20)]
+        assert stream == expected
+
+    def test_one_generator_across_random_sizes(self):
+        stream = list(model_stream((), ALL_FRAMES, random_sizes=(3, 4),
+                                   trials=15, seed=17))
+        rng = random.Random(17)
+        expected = [random_model(size, (), seed=rng.getrandbits(48))
+                    for size in (3, 4) for _ in range(15)]
+        assert stream == expected
+
+    def test_zero_trials_is_exhaustive_only(self):
+        stream = list(model_stream(("p",), FILTERS, exhaustive=(1, 2),
+                                   random_sizes=(3, 4), trials=0, seed=1))
+        assert stream == [m for k in (1, 2)
+                          for m in enumerate_models(k, ("p",), FILTERS)]
+
+    def test_bound_checked_before_enumerating(self, monkeypatch):
+        from deltalogic import model as model_module
+
+        calls = []
+        monkeypatch.setattr(model_module, "enumerate_models",
+                            lambda *args: calls.append(args) or iter(()))
+        stream = model_stream(("p",), ALL_FRAMES, exhaustive=range(1, 5))
+        with pytest.raises(BoundExceededError):
+            next(stream)
+        assert calls == []
 
 
 class TestJson:

@@ -1,8 +1,9 @@
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
-from deltalogic.formula import atom, delta, parse, top
+from deltalogic.formula import and_, atom, delta, not_, parse, top
 from deltalogic.lambdas import close_universe
 from deltalogic.model import (
     ALL_FRAMES,
@@ -12,7 +13,7 @@ from deltalogic.model import (
     enumerate_models,
     make_model,
 )
-from deltalogic.proofs import SYSTEM_IDS, system_class
+from deltalogic.proofs import SYSTEM_IDS, system_axioms, system_class
 from deltalogic.search import (
     Countermodel,
     DEFAULT_POOL,
@@ -28,6 +29,7 @@ from deltalogic.search import (
     schema_soundness,
     schema_validity_experiment,
     _selection_masks,
+    _soundness_report,
 )
 from deltalogic.semantics import holds_at, truth_set
 
@@ -147,6 +149,66 @@ class TestSoundness:
         assert not report.ok
         for instance, cm in report.per_schema[0].countermodels:
             assert not holds_at(cm.model, cm.state, instance)
+
+    def test_pool_atoms_must_be_covered(self):
+        # Reading the uncovered r as the empty set would hide the witnesses.
+        pool = [atom("r"), atom("p")]
+        spec = FrameClassSpec.parse("s")
+        cfg = SearchConfig(mode="random", max_states=3, trials=3000)
+        with pytest.raises(ValueError, match=r"\['r'\] not in cfg.atoms"):
+            schema_soundness("C", spec, pool, cfg)
+        report = schema_soundness("C", spec, pool, replace(cfg, atoms=("p", "r")))
+        assert len(report.per_schema[0].countermodels) == 2
+
+    def test_other_pool_scans_check_atoms(self):
+        with pytest.raises(ValueError, match="not in cfg.atoms"):
+            cube_strictness(atoms=("p",))
+        with pytest.raises(ValueError, match="not in cfg.atoms"):
+            schema_validity_experiment(ALL_FRAMES, SearchConfig(atoms=("q",)))
+
+
+SCAN_CONFIGS = (SearchConfig(mode="exhaustive", max_states=2),
+                SearchConfig(mode="random", max_states=3, trials=200))
+
+
+class TestFusedSoundness:
+    """One scan per report gives the entries of one scan per schema."""
+
+    @pytest.mark.parametrize("cfg", SCAN_CONFIGS, ids=("exhaustive", "random"))
+    @pytest.mark.parametrize("system", SYSTEM_IDS)
+    def test_system_report_equals_per_schema_scans(self, system, cfg):
+        spec = system_class(system)
+        report = axiom_soundness_report(system, DEFAULT_POOL, cfg)
+        assert report.per_schema == tuple(
+            schema_soundness(name, spec, DEFAULT_POOL, cfg).per_schema[0]
+            for name in system_axioms(system))
+
+    @pytest.mark.parametrize("cfg", SCAN_CONFIGS, ids=("exhaustive", "random"))
+    @pytest.mark.parametrize("system", SYSTEM_IDS)
+    def test_witnesses_equal_per_schema_scans(self, system, cfg):
+        # Off the system's own class the schemas fail, so entries carry
+        # witnesses, which must match instance for instance and in order.
+        pool = (atom("p"), not_(atom("q")), and_(atom("p"), atom("q")))
+        schemas = system_axioms(system)
+        report = _soundness_report(None, ALL_FRAMES, schemas, pool, cfg)
+        assert report.per_schema == tuple(
+            schema_soundness(name, ALL_FRAMES, pool, cfg).per_schema[0]
+            for name in schemas)
+
+    def test_witnesses_stay_in_discovery_order(self):
+        # M instance 5 is refuted by an earlier model than instances 3 and 4,
+        # so the entry lists witnesses by stream position, not by instance.
+        pool = (atom("p"), atom("q"))
+        spec = FrameClassSpec.parse("c")
+        cfg = SearchConfig(mode="exhaustive", max_states=2)
+        instances = schema_instances("M", pool)
+        entry = _soundness_report(None, spec, ("EQU", "M", "C"), pool,
+                                  cfg).per_schema[1]
+        assert [instances.index(f) for f, _ in entry.countermodels] == [2, 5, 3, 4]
+        stream = list(cfg.models(spec))
+        positions = [stream.index(cm.model) for _, cm in entry.countermodels]
+        assert positions == sorted(positions)
+        assert entry == schema_soundness("M", spec, pool, cfg).per_schema[0]
 
 
 def _admissible_collections(spec: FrameClassSpec, state_count: int):
@@ -364,6 +426,13 @@ class TestSchemaExperiment:
                 instance = instances[(item.phi, item.chi)]
                 assert not holds_at(item.verdict.model, item.verdict.state,
                                     instance, extended=True)
+
+    def test_verdicts_equal_per_instance_validity(self):
+        cfg = SearchConfig(mode="exhaustive", max_states=2, extended=True)
+        report = schema_validity_experiment(QUASI_FILTERS, cfg)
+        assert [item.verdict for item in report.items] == [
+            check_validity(instance, QUASI_FILTERS, cfg)
+            for _, _, instance in almost_definability_instances(DEFAULT_POOL)]
 
     def test_report_is_deterministic(self):
         pool = (atom("p"), atom("q"))
