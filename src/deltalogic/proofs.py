@@ -44,6 +44,7 @@ from .formula import (
     Delta,
     Formula,
     Not,
+    TooManyAtomsError,
     and_,
     delta,
     iff,
@@ -213,6 +214,7 @@ class Derivation:
 MALFORMED = "malformed"
 AXIOM_NOT_IN_SYSTEM = "axiom-not-in-system"
 JUSTIFICATION_MISMATCH = "justification-mismatch"
+TOO_MANY_ATOMS = "too-many-atoms"
 
 
 @dataclass(frozen=True)
@@ -236,7 +238,9 @@ def check_derivation(system: str, derivation: Derivation) -> CheckResult:
     Rejections pinpoint the first bad line.  Reasons: "malformed" for
     numbering or citation problems, "axiom-not-in-system" for an axiom the
     system lacks, "justification-mismatch" when the cited rule or schema
-    does not yield the line's formula.
+    does not yield the line's formula, "too-many-atoms" for a TAUT line
+    whose propositional skeleton has more atoms than the truth-table
+    oracle decides (MAX_TABLE_ATOMS).
     """
     axioms = system_axioms(system)
     steps = derivation.steps
@@ -255,7 +259,11 @@ def check_derivation(system: str, derivation: Derivation) -> CheckResult:
 
         match step.justification:
             case Taut():
-                if not is_tautology(step.formula):
+                try:
+                    tautology = is_tautology(step.formula)
+                except TooManyAtomsError as exc:
+                    return _rejected(n, TOO_MANY_ATOMS, str(exc))
+                if not tautology:
                     return _rejected(n, JUSTIFICATION_MISMATCH,
                                      "formula is not a tautology instance")
             case Ax(name):

@@ -15,6 +15,8 @@ is reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import groupby, islice
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence, Union
 
 from . import semantics
@@ -22,6 +24,7 @@ from .formula import (
     And,
     Atom,
     Box,
+    BoxNotAllowedError,
     Delta,
     Formula,
     Not,
@@ -179,10 +182,23 @@ def almost_definability_instances(pool: Sequence[Formula]) -> tuple[tuple[Formul
 
 # ---------------------------------------------------------------------------
 # Compiled evaluation for instance pools.  Formulas are flattened into a
-# deduplicated node list evaluated in one pass per model; countermodels found
-# this way are always re-verified through semantics.holds_at.
+# deduplicated node list, which is evaluated bit-sliced (Biham, FSE 1997)
+# over batches of up to _BATCH consecutive models with one state count k.
+# A node's value is k ints, one bitplane per state: bit b of plane j says
+# whether the node holds at state j of model b.  `!` and `&` cost one int
+# operation per plane.  `D` and `[]` split the batch by the child's truth
+# set v (the minterms of the child's planes) and AND each part with the
+# plane of the models whose collection at state j holds v (for `D`: v or
+# its complement).  Countermodels found this way are always re-verified
+# through semantics.holds_at.
 
 _ATOM, _NOT, _AND, _DELTA, _BOX = range(5)
+
+# A batch keeps its models until their witnesses are read.  Against one
+# model at a time, peak memory of the sound-random benchmark rose 5% with
+# batches of 256 and 16% with 1,024; with 64, evaluating R's |S|<=3 class
+# took four times as long as with 256.
+_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -221,25 +237,104 @@ def _compile(formulas: Sequence[Formula]) -> _Program:
     return _Program(tuple(nodes), roots)
 
 
-def _program_masks(program: _Program, model: NeighborhoodModel) -> list[int]:
-    full = model.full_mask
-    valuation = model.valuation
-    delta_state_mask = semantics.delta_state_mask
-    box_state_mask = semantics.box_state_mask
-    masks: list[int] = []
-    append = masks.append
+def _batches(models: Iterable[NeighborhoodModel]) -> Iterator[list[NeighborhoodModel]]:
+    """The stream cut into batches of models with one state count.
+
+    For each state count the batches grow from 16 models to _BATCH, so a
+    scan that stops early, as a first_only scan does, draws at most about
+    twice the models it needed.
+    """
+    for _, run in groupby(models, key=attrgetter("state_count")):
+        size = 16
+        while batch := list(islice(run, size)):
+            yield batch
+            size = min(2 * size, _BATCH)
+
+
+def _minterms(planes: Sequence[int], ones: int) -> list[tuple[int, int]]:
+    """(v, models) for each truth set v the planes take in some model."""
+    terms = [(0, ones)]
+    for j, plane in enumerate(planes):
+        split = []
+        for v, bits in terms:
+            on = bits & plane
+            if on:
+                split.append((v | 1 << j, on))
+            if on != bits:
+                split.append((v, bits ^ on))
+        terms = split
+    return terms
+
+
+def _batch_planes(program: _Program, batch: Sequence[NeighborhoodModel],
+                  cache: dict | None = None) -> list[list[int]]:
+    """Every node's bitplanes over a batch of models with one state count.
+
+    Bit b of planes[node][j] is set iff the node holds at state j of
+    batch[b].  cache maps (state count, collection) to the truth sets whose
+    D the collection makes true; one scan shares it across its batches.
+    """
+    k = batch[0].state_count
+    full = (1 << k) - 1
+    ones = (1 << len(batch)) - 1
+    if cache is None:
+        cache = {}
+    # Per state, the models of the batch grouped by their collection there;
+    # the enumeration hands out runs of models with one frame.
+    groups: list[dict[frozenset[int], int]] = [{} for _ in range(k)]
+    start = 0
+    for frame, run in groupby(batch, key=attrgetter("neighborhoods")):
+        count = sum(1 for _ in run)
+        bits = ((1 << count) - 1) << start
+        start += count
+        for by_coll, coll in zip(groups, frame):
+            by_coll[coll] = by_coll.get(coll, 0) | bits
+
+    def delta_sets(coll: frozenset[int]) -> frozenset[int]:
+        key = (k, coll)
+        sets = cache.get(key)
+        if sets is None:
+            sets = cache[key] = coll | {full ^ v for v in coll}
+        return sets
+
+    def tables(admitted) -> list[dict[int, int]]:
+        # Per state j: truth set v -> the models whose collection at j admits v.
+        result = []
+        for by_coll in groups:
+            table: dict[int, int] = {}
+            for coll, bits in by_coll.items():
+                for v in admitted(coll):
+                    table[v] = table.get(v, 0) | bits
+            result.append(table)
+        return result
+
+    lookups = {}
+    planes: list[list[int]] = []
+    append = planes.append
     for op, a, b in program.nodes:
         if op == _AND:
-            append(masks[a] & masks[b])
+            append([x & y for x, y in zip(planes[a], planes[b])])
         elif op == _NOT:
-            append(full ^ masks[a])
-        elif op == _DELTA:
-            append(delta_state_mask(model, masks[a]))
+            append([ones ^ x for x in planes[a]])
         elif op == _ATOM:
-            append(valuation.get(a, 0))
+            by_value: dict[int, int] = {}
+            for i, model in enumerate(batch):
+                value = model.valuation.get(a, 0)
+                by_value[value] = by_value.get(value, 0) | 1 << i
+            append([sum(bits for value, bits in by_value.items() if value >> j & 1)
+                    for j in range(k)])
         else:
-            append(box_state_mask(model, masks[a]))
-    return masks
+            if op not in lookups:
+                lookups[op] = tables(delta_sets if op == _DELTA else lambda coll: coll)
+            terms = _minterms(planes[a], ones)
+            row = []
+            for table in lookups[op]:
+                acc = 0
+                for v, bits in terms:
+                    acc |= bits & table.get(v, 0)
+                row.append(acc)
+            append(row)
+    return planes
 
 
 def _scan_instances(instances: Sequence[Formula], spec: FrameClassSpec,
@@ -251,29 +346,41 @@ def _scan_instances(instances: Sequence[Formula], spec: FrameClassSpec,
     discovery order: stream position, then instance index.  Each instance
     contributes at most its first witness.  With first_only the scan stops
     at the overall first witness.  Requires the instances' atoms to be
-    covered by cfg.atoms.
+    covered by cfg.atoms, and `[]` only in extended mode.
     """
     program = _compile(instances)
     _require_atoms((a for op, a, _ in program.nodes if op == _ATOM), cfg)
+    if not cfg.extended and any(op == _BOX for op, _, _ in program.nodes):
+        raise BoxNotAllowedError("box evaluation requires extended mode")
+    if not instances:
+        return 0, []
     roots = program.roots
     open_instances = set(range(len(instances)))
     found: list[tuple[int, Countermodel]] = []
     checked = 0
-    for model in cfg.models(spec):
-        checked += 1
-        full = model.full_mask
-        masks = _program_masks(program, model)
-        for idx in sorted(open_instances):
-            mask = masks[roots[idx]]
-            if mask != full:
-                state = _lowest_missing_state(mask, full)
-                _verify_countermodel(model, state, instances[idx], cfg.extended)
-                found.append((idx, Countermodel(model, state)))
-                open_instances.discard(idx)
-                if first_only:
-                    return checked, found
-        if not open_instances:
-            break
+    cache: dict = {}
+    for batch in _batches(cfg.models(spec)):
+        planes = _batch_planes(program, batch, cache)
+        ones = (1 << len(batch)) - 1
+        hits = []
+        for idx in open_instances:
+            held = ones
+            for plane in planes[roots[idx]]:
+                held &= plane
+            if held != ones:
+                failing = ones ^ held
+                hits.append(((failing & -failing).bit_length() - 1, idx))
+        # Discovery order within the batch: model position, then instance.
+        for b, idx in sorted(hits):
+            model = batch[b]
+            state = next(j for j, plane in enumerate(planes[roots[idx]])
+                         if not plane >> b & 1)
+            _verify_countermodel(model, state, instances[idx], cfg.extended)
+            found.append((idx, Countermodel(model, state)))
+            open_instances.discard(idx)
+            if first_only or not open_instances:
+                return checked + b + 1, found
+        checked += len(batch)
     return checked, found
 
 

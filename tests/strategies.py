@@ -30,8 +30,8 @@ def propositional_formulas(atoms=("p", "q", "r", "s_"), max_depth=4):
 
 
 @st.composite
-def models(draw, max_states=3, atoms=("p", "q")):
-    state_count = draw(st.integers(1, max_states))
+def models(draw, max_states=3, atoms=("p", "q"), min_states=1):
+    state_count = draw(st.integers(min_states, max_states))
     subset = st.integers(0, (1 << state_count) - 1)
     neighborhoods = tuple(
         frozenset(draw(st.lists(subset, max_size=5)))

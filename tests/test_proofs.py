@@ -15,6 +15,7 @@ from deltalogic.proofs import (
     SYSTEM_AXIOMS,
     SYSTEM_IDS,
     Step,
+    TOO_MANY_ATOMS,
     Taut,
     check_derivation,
     fixture_names,
@@ -25,6 +26,10 @@ from deltalogic.proofs import (
     system_spec,
 )
 from deltalogic.search import SearchConfig, Valid, check_validity
+
+
+# A tautology whose skeleton has one atom more than MAX_TABLE_ATOMS.
+WIDE_TAUT = " & ".join(f"v{i}" for i in range(25)) + " -> v0"
 
 
 class TestMatchSchema:
@@ -147,6 +152,31 @@ class TestCheckDerivation:
         d = Derivation.from_lines([(parse("p -> q"), Taut())])
         result = check_derivation("E", d)
         assert (result.line, result.reason) == (1, JUSTIFICATION_MISMATCH)
+
+    def test_taut_line_over_table_limit_is_rejected(self):
+        d = Derivation.from_lines([(parse("p -> p"), Taut()),
+                                   (parse(WIDE_TAUT), Taut())])
+        result = check_derivation("E", d)
+        assert (result.line, result.reason) == (2, TOO_MANY_ATOMS)
+        assert "25 atoms" in result.detail
+
+    def test_cli_rejects_taut_line_over_table_limit(self, tmp_path):
+        import contextlib
+        import io
+        import json
+
+        from deltalogic import cli
+
+        path = tmp_path / "wide.drv"
+        path.write_text(f"1. p -> p ; taut\n2. {WIDE_TAUT} ; taut\n", encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["prove", "--derivation", str(path), "--system", "E",
+                             "--json"])
+        assert code == 1
+        data = json.loads(out.getvalue())
+        assert (data["accepted"], data["line"], data["reason"]) == (False, 2, TOO_MANY_ATOMS)
+        assert "25 atoms" in data["detail"]
 
 
 class TestFixtures:

@@ -2,8 +2,11 @@ from dataclasses import replace
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from deltalogic.formula import and_, atom, delta, not_, parse, top
+from strategies import formulas, models
+
+from deltalogic.formula import BoxNotAllowedError, and_, atom, box, delta, not_, parse, top
 from deltalogic.lambdas import close_universe
 from deltalogic.model import (
     ALL_FRAMES,
@@ -166,6 +169,23 @@ class TestSoundness:
         with pytest.raises(ValueError, match="not in cfg.atoms"):
             schema_validity_experiment(ALL_FRAMES, SearchConfig(atoms=("q",)))
 
+    def test_box_needs_extended_mode_before_any_model(self, monkeypatch):
+        import deltalogic.search as search_module
+
+        def no_models(*args, **kwargs):
+            raise AssertionError("a model was drawn")
+
+        pool = [box(atom("p"))]
+        with monkeypatch.context() as patch:
+            patch.setattr(search_module, "model_stream", no_models)
+            with pytest.raises(BoxNotAllowedError):
+                schema_soundness("EQU", ALL_FRAMES, pool, SearchConfig())
+        # D a <-> D !a holds on every frame, whatever a is.
+        report = schema_soundness("EQU", ALL_FRAMES, pool, SearchConfig(extended=True))
+        assert report.ok
+        experiment = schema_validity_experiment(ALL_FRAMES, SearchConfig())
+        assert experiment.countermodel_count > 0
+
 
 SCAN_CONFIGS = (SearchConfig(mode="exhaustive", max_states=2),
                 SearchConfig(mode="random", max_states=3, trials=200))
@@ -209,6 +229,84 @@ class TestFusedSoundness:
         positions = [stream.index(cm.model) for _, cm in entry.countermodels]
         assert positions == sorted(positions)
         assert entry == schema_soundness("M", spec, pool, cfg).per_schema[0]
+
+
+def _reference_scan(instances, spec, cfg, first_only=False):
+    """The scan order, one model and one truth_set call at a time."""
+    open_instances = list(range(len(instances)))
+    found = []
+    checked = 0
+    for model in cfg.models(spec):
+        checked += 1
+        for idx in list(open_instances):
+            mask = truth_set(model, instances[idx], extended=cfg.extended)
+            if mask != model.full_mask:
+                missing = model.full_mask ^ mask
+                state = (missing & -missing).bit_length() - 1
+                found.append((idx, Countermodel(model, state)))
+                open_instances.remove(idx)
+                if first_only:
+                    return checked, found
+        if not open_instances:
+            break
+    return checked, found
+
+
+# On i,c,n frames over p, q with |S|<=3 (8,068 models: 4, 64, then 8,000 of
+# three states), LATE are first refuted at stream positions 479, 791, 2383
+# and 2589, the last two in one batch; VALID_ICN holds throughout.
+ICN = FrameClassSpec.parse("i,c,n")
+ICN_CFG = SearchConfig(mode="exhaustive", max_states=3)
+LATE = tuple(parse(text) for text in (
+    "!(D p & !D (p & D q) & !p)",
+    "!(D q & D D q & !D (D p & !D q))",
+    "!(!D q & D D q & !D (p & D q))",
+    "!(!D p & D D p & !D (D p & !D q))",
+))
+VALID_ICN = parse("!(D p & !D (p & q) & !D (p & !q) & !D (!p & q))")
+
+
+class TestScanOrder:
+    """_scan_instances returns what the plain per-model loop returns."""
+
+    def test_first_only_stops_at_first_witness(self):
+        from deltalogic.search import _scan_instances
+
+        instances = (LATE[3], LATE[1], LATE[2])
+        result = _scan_instances(instances, ICN, ICN_CFG, first_only=True)
+        assert result == _reference_scan(instances, ICN, ICN_CFG, first_only=True)
+        assert result[0] == 792 and [idx for idx, _ in result[1]] == [1]
+
+    def test_first_only_breaks_ties_by_instance(self):
+        from deltalogic.search import _scan_instances
+
+        instances = (LATE[0], atom("q"), atom("p"))
+        result = _scan_instances(instances, ICN, ICN_CFG, first_only=True)
+        assert result == _reference_scan(instances, ICN, ICN_CFG, first_only=True)
+        assert result[0] == 1 and [idx for idx, _ in result[1]] == [1]
+
+    def test_checked_stops_at_closing_model(self):
+        from deltalogic.search import _scan_instances
+
+        instances = (LATE[3], parse("D p -> D q"), atom("p"), LATE[0])
+        result = _scan_instances(instances, ICN, ICN_CFG)
+        assert result == _reference_scan(instances, ICN, ICN_CFG)
+        assert result[0] == 2590
+        assert [idx for idx, _ in result[1]] == [2, 1, 3, 0]
+
+    @pytest.mark.parametrize("cfg", (ICN_CFG, SearchConfig(
+        mode="random", max_states=3, trials=600)), ids=("exhaustive", "random"))
+    def test_whole_stream_across_batches_and_sizes(self, cfg):
+        from deltalogic.search import _BATCH, _scan_instances
+
+        instances = (VALID_ICN, parse("D p -> D q")) + LATE
+        stream_length = sum(1 for _ in cfg.models(ICN))
+        assert stream_length > 2 * _BATCH
+        result = _scan_instances(instances, ICN, cfg)
+        assert result == _reference_scan(instances, ICN, cfg)
+        assert result[0] == stream_length
+        if cfg.mode == "exhaustive":
+            assert [idx for idx, _ in result[1]] == [1, 2, 3, 4, 5]
 
 
 def _admissible_collections(spec: FrameClassSpec, state_count: int):
@@ -367,6 +465,11 @@ class TestCube:
             cube_strictness(max_states=1, trials=0)
 
 
+def _model_mask(node_planes, b):
+    """Model b's truth set of a node, read off the node's bitplanes."""
+    return sum((plane >> b & 1) << j for j, plane in enumerate(node_planes))
+
+
 class TestCompiledEngine:
     """The pooled scan engine must agree with the recursive evaluator."""
 
@@ -375,28 +478,41 @@ class TestCompiledEngine:
 
         from conftest import random_core_formula
         from deltalogic.model import random_model
-        from deltalogic.search import _compile, _program_masks
+        from deltalogic.search import _batch_planes, _compile
 
         rng = _random.Random(3)
         formulas = [random_core_formula(rng, depth=4) for _ in range(40)]
         program = _compile(formulas)
-        for seed in range(25):
-            model = random_model(3, ["p", "q", "r"], seed=seed)
-            masks = _program_masks(program, model)
+        batch = [random_model(3, ["p", "q", "r"], seed=seed) for seed in range(25)]
+        planes = _batch_planes(program, batch)
+        for b, model in enumerate(batch):
             for f, root in zip(formulas, program.roots):
-                assert masks[root] == truth_set(model, f)
+                assert _model_mask(planes[root], b) == truth_set(model, f)
 
     def test_engine_handles_box_nodes(self):
-        from deltalogic.formula import box
         from deltalogic.model import random_model
-        from deltalogic.search import _compile, _program_masks
+        from deltalogic.search import _batch_planes, _compile
 
         f = box(parse("p | q"))
         program = _compile([f])
-        for seed in range(10):
-            model = random_model(3, ["p", "q"], seed=seed)
-            assert _program_masks(program, model)[program.roots[0]] == \
+        batch = [random_model(3, ["p", "q"], seed=seed) for seed in range(10)]
+        planes = _batch_planes(program, batch)
+        for b, model in enumerate(batch):
+            assert _model_mask(planes[program.roots[0]], b) == \
                 truth_set(model, f, extended=True)
+
+    @given(st.integers(1, 4).flatmap(lambda k: st.lists(
+               models(max_states=k, min_states=k), min_size=1, max_size=12)),
+           st.lists(formulas(atoms=("p", "q"), extended=True), min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_batch_masks_equal_truth_set(self, batch, pool):
+        from deltalogic.search import _batch_planes, _compile
+
+        program = _compile(pool)
+        planes = _batch_planes(program, batch)
+        for b, model in enumerate(batch):
+            for f, root in zip(pool, program.roots):
+                assert _model_mask(planes[root], b) == truth_set(model, f, extended=True)
 
     def test_shared_subterms_compile_once(self):
         from deltalogic.search import _compile
