@@ -28,7 +28,7 @@ from dataclasses import replace
 from typing import Sequence
 
 from . import lambdas, model, proofs, search, semantics
-from .formula import FormulaError, Formula, atoms_of, parse, render
+from .formula import RESERVED_ATOM, FormulaError, Formula, atoms_of, parse, render
 from .model import (
     ALL_FRAMES,
     BoundExceededError,
@@ -78,7 +78,7 @@ def _pool_atoms(pool: Sequence[Formula], base: tuple[str, ...]) -> tuple[str, ..
     names = set(base)
     for f in pool:
         names |= atoms_of(f)
-    names.discard("_t")
+    names.discard(RESERVED_ATOM)
     return tuple(sorted(names))
 
 
@@ -361,10 +361,10 @@ def _cmd_enumerate(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing.
 
-def _add_search_options(sub, default_mode="exhaustive", default_max=2):
+def _add_search_options(sub):
     sub.add_argument("--mode", choices=("exhaustive", "random"),
-                     default=default_mode)
-    sub.add_argument("--max-states", type=int, default=default_max)
+                     default="exhaustive")
+    sub.add_argument("--max-states", type=int, default=2)
     sub.add_argument("--trials", type=int, default=1000)
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sub.add_argument("--json", action="store_true")
@@ -433,12 +433,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(handler=_cmd_cube)
 
-    sub = commands.add_parser("lambda-eq", help="compare the selection functions")
+    # No abbreviations here: "--mode" would otherwise be read as "--model".
+    sub = commands.add_parser("lambda-eq", help="compare the selection functions",
+                              allow_abbrev=False)
     sub.add_argument("--model")
     sub.add_argument("--base", default="p,q")
     sub.add_argument("--depth", type=int, default=1)
     sub.add_argument("--exhaustive-states", type=int, default=0)
-    _add_search_options(sub, default_mode="random", default_max=3)
+    sub.add_argument("--max-states", type=int, default=3)
+    sub.add_argument("--trials", type=int, default=1000)
+    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sub.add_argument("--json", action="store_true")
     sub.set_defaults(handler=_cmd_lambda_eq)
 
     sub = commands.add_parser("schema-exp",
@@ -480,6 +485,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.handler(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -73,7 +73,8 @@ class TheorySet:
     The stored theory is the set of members (and their D-prefixings) that
     hold at the state; D-questions about arbitrary formulas are answered
     semantically, which is what makes this a usable stand-in for a maximal
-    consistent set.  Truth sets and noncontingency verdicts are cached.
+    consistent set.  Truth sets are cached; D verdicts are lookups in the
+    state's semantics.noncontingent_sets table.
     """
 
     def __init__(self, model: NeighborhoodModel, state: int, universe: Universe):
@@ -83,7 +84,8 @@ class TheorySet:
         self.state = state
         self.universe = universe
         self._masks: dict[Formula, int] = {}
-        self._delta: dict[int, bool] = {}
+        self._noncontingent = semantics.noncontingent_sets(
+            model.neighborhoods[state], model.state_count)
 
     def truth_mask(self, f: Formula) -> int:
         mask = self._masks.get(f)
@@ -94,11 +96,7 @@ class TheorySet:
 
     def delta_true_of_mask(self, mask: int) -> bool:
         """Whether a proposition with this truth set is noncontingent here."""
-        value = self._delta.get(mask)
-        if value is None:
-            value = bool(semantics.delta_state_mask(self.model, mask) >> self.state & 1)
-            self._delta[mask] = value
-        return value
+        return mask in self._noncontingent
 
     def contains(self, f: Formula) -> bool:
         """Membership of a universe member in the theory."""
@@ -251,8 +249,9 @@ def lambda_equality_scan(base: Sequence[Formula], depth: int,
 
     Scans all models up to exhaustive_states over the base's atoms, then
     random_trials seeded random models with random_states states.  The sweep
-    itself works on cached truth sets; any difference it sees is recomputed
-    through the reference selection functions before being reported.
+    itself works on truth sets and each state's noncontingent_sets table;
+    any difference it sees is recomputed through the reference selection
+    functions before being reported.
     """
     universe = close_universe(base, depth)
     members = universe.members
@@ -270,17 +269,8 @@ def lambda_equality_scan(base: Sequence[Formula], depth: int,
         checked += 1
         memo: dict[Formula, int] = {}
         masks = [semantics.truth_set(model, m, memo=memo) for m in members]
-        for state in model.states():
-            delta_ok: dict[int, bool] = {}
-
-            def ok(mask: int) -> bool:
-                value = delta_ok.get(mask)
-                if value is None:
-                    value = bool(semantics.delta_state_mask(model, mask)
-                                 >> state & 1)
-                    delta_ok[mask] = value
-                return value
-
+        for state, coll in enumerate(model.neighborhoods):
+            ok = semantics.noncontingent_sets(coll, model.state_count).__contains__
             agree = True
             for i in range(count):
                 in_k = all(ok(masks[i] | masks[j]) for j in range(count))

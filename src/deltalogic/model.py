@@ -11,8 +11,7 @@ The four frame properties are named by single letters:
     s   closed under supersets (supplemented)
     c   closed under complements
 
-Models are immutable; enumeration and sampling are deterministic, so a
-stream of models may be split across workers without changing the result.
+Models are immutable; enumeration and sampling are deterministic.
 """
 
 from __future__ import annotations

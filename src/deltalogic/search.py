@@ -266,19 +266,15 @@ def _minterms(planes: Sequence[int], ones: int) -> list[tuple[int, int]]:
     return terms
 
 
-def _batch_planes(program: _Program, batch: Sequence[NeighborhoodModel],
-                  cache: dict | None = None) -> list[list[int]]:
+def _batch_planes(program: _Program, batch: Sequence[NeighborhoodModel]
+                  ) -> list[list[int]]:
     """Every node's bitplanes over a batch of models with one state count.
 
     Bit b of planes[node][j] is set iff the node holds at state j of
-    batch[b].  cache maps (state count, collection) to the truth sets whose
-    D the collection makes true; one scan shares it across its batches.
+    batch[b].
     """
     k = batch[0].state_count
-    full = (1 << k) - 1
     ones = (1 << len(batch)) - 1
-    if cache is None:
-        cache = {}
     # Per state, the models of the batch grouped by their collection there;
     # the enumeration hands out runs of models with one frame.
     groups: list[dict[frozenset[int], int]] = [{} for _ in range(k)]
@@ -290,20 +286,14 @@ def _batch_planes(program: _Program, batch: Sequence[NeighborhoodModel],
         for by_coll, coll in zip(groups, frame):
             by_coll[coll] = by_coll.get(coll, 0) | bits
 
-    def delta_sets(coll: frozenset[int]) -> frozenset[int]:
-        key = (k, coll)
-        sets = cache.get(key)
-        if sets is None:
-            sets = cache[key] = coll | {full ^ v for v in coll}
-        return sets
-
-    def tables(admitted) -> list[dict[int, int]]:
+    def tables(op: int) -> list[dict[int, int]]:
         # Per state j: truth set v -> the models whose collection at j admits v.
         result = []
         for by_coll in groups:
             table: dict[int, int] = {}
             for coll, bits in by_coll.items():
-                for v in admitted(coll):
+                admitted = semantics.noncontingent_sets(coll, k) if op == _DELTA else coll
+                for v in admitted:
                     table[v] = table.get(v, 0) | bits
             result.append(table)
         return result
@@ -325,7 +315,7 @@ def _batch_planes(program: _Program, batch: Sequence[NeighborhoodModel],
                     for j in range(k)])
         else:
             if op not in lookups:
-                lookups[op] = tables(delta_sets if op == _DELTA else lambda coll: coll)
+                lookups[op] = tables(op)
             terms = _minterms(planes[a], ones)
             row = []
             for table in lookups[op]:
@@ -358,9 +348,8 @@ def _scan_instances(instances: Sequence[Formula], spec: FrameClassSpec,
     open_instances = set(range(len(instances)))
     found: list[tuple[int, Countermodel]] = []
     checked = 0
-    cache: dict = {}
     for batch in _batches(cfg.models(spec)):
-        planes = _batch_planes(program, batch, cache)
+        planes = _batch_planes(program, batch)
         ones = (1 << len(batch)) - 1
         hits = []
         for idx in open_instances:

@@ -12,7 +12,7 @@ Truth sets are int bitmasks over the model's states.  The clauses:
 
 The reserved atom "_t" evaluates to the empty set; it only ever occurs
 inside the desugared forms of top and bot, where its value cancels out.
-All functions here are pure and safe to call from parallel workers.
+All functions here are pure.
 """
 
 from __future__ import annotations
@@ -36,28 +36,14 @@ class UnknownAtomError(Exception):
         self.name = name
 
 
-def delta_state_mask(model: NeighborhoodModel, child_mask: int) -> int:
-    """States where a proposition with the given truth set is noncontingent."""
-    full = model.full_mask
-    comp = full ^ child_mask
-    result = 0
-    bit = 1
-    for coll in model.neighborhoods:
-        if child_mask in coll or comp in coll:
-            result |= bit
-        bit <<= 1
-    return result
+def noncontingent_sets(coll: frozenset[int], state_count: int) -> frozenset[int]:
+    """The truth sets whose D holds at a state with collection coll.
 
-
-def box_state_mask(model: NeighborhoodModel, child_mask: int) -> int:
-    """States whose collection contains the given truth set."""
-    result = 0
-    bit = 1
-    for coll in model.neighborhoods:
-        if child_mask in coll:
-            result |= bit
-        bit <<= 1
-    return result
+    This is the one lookup table of the D clause for the fast paths; the
+    reference evaluator truth_set keeps the literal clause.
+    """
+    full = (1 << state_count) - 1
+    return coll | {full ^ v for v in coll}
 
 
 def truth_set(model: NeighborhoodModel, f: Formula, extended: bool = False,
@@ -70,6 +56,7 @@ def truth_set(model: NeighborhoodModel, f: Formula, extended: bool = False,
     """
     full = model.full_mask
     valuation = model.valuation
+    neighborhoods = model.neighborhoods
     if memo is None:
         memo = {}
 
@@ -90,12 +77,21 @@ def truth_set(model: NeighborhoodModel, f: Formula, extended: bool = False,
             case And(left, right):
                 value = walk(left) & walk(right)
             case Delta(child):
-                value = delta_state_mask(model, walk(child))
+                v = walk(child)
+                comp = full ^ v
+                value = 0
+                for state, coll in enumerate(neighborhoods):
+                    if v in coll or comp in coll:
+                        value |= 1 << state
             case Box(child):
                 if not extended:
                     raise BoxNotAllowedError(
                         "box evaluation requires extended mode")
-                value = box_state_mask(model, walk(child))
+                v = walk(child)
+                value = 0
+                for state, coll in enumerate(neighborhoods):
+                    if v in coll:
+                        value |= 1 << state
             case _:
                 raise TypeError(f"not a formula: {g!r}")
         memo[g] = value

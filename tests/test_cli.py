@@ -181,6 +181,35 @@ class TestLambdaEq:
         assert "differences: 0" in out
 
 
+class TestLambdaEqOptions:
+    def test_mode_is_not_an_option(self):
+        code, _, err = run("lambda-eq", "--mode", "exhaustive", "--trials", "5")
+        assert code == 2
+        assert "unrecognized arguments: --mode" in err
+
+
+class TestDeepNesting:
+    NEGATIONS = "!" * 5000 + "p"
+    DELTAS = "D (" * 400 + "p" + ")" * 400
+
+    def test_validity_refuses_deep_input(self):
+        for formula in (self.NEGATIONS, self.DELTAS):
+            code, out, err = run("validity", "--formula", formula)
+            assert (code, out) == (2, "")
+            assert err == "error: input nested too deeply\n"
+
+    def test_check_refuses_deep_input(self):
+        code, _, err = run("check", "--model", MODEL_PATH, "--formula",
+                           self.NEGATIONS)
+        assert code == 2
+        assert err == "error: input nested too deeply\n"
+
+    def test_moderate_nesting_still_answers(self):
+        code, out, _ = run("check", "--model", MODEL_PATH, "--formula",
+                           "!" * 300 + "p")
+        assert (code, out) == (0, "true\n")
+
+
 class TestExperiments:
     def test_schema_exp(self):
         code, out, _ = run("schema-exp", "--class", "all", "--pool", "p,q",

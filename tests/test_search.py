@@ -16,7 +16,7 @@ from deltalogic.model import (
     enumerate_models,
     make_model,
 )
-from deltalogic.proofs import SYSTEM_IDS, system_axioms, system_class
+from deltalogic.proofs import SYSTEM_IDS, match_schema, system_axioms, system_class
 from deltalogic.search import (
     Countermodel,
     DEFAULT_POOL,
@@ -126,6 +126,17 @@ class TestSchemaInstances:
     def test_almost_definability_pairs(self):
         triples = almost_definability_instances((atom("p"), atom("q")))
         assert len(triples) == 4
+
+    @pytest.mark.parametrize("schema, arity", [("EQU", 1), ("M", 3), ("C", 2), ("N", 0)])
+    def test_instances_match_the_proof_schemas(self, schema, arity):
+        # The axiom shapes are written twice: proofs._SCHEMAS for matching
+        # derivation lines, schema_instances for soundness pools.  Each
+        # instance must match with phi, psi, chi bound in product order.
+        names = ("phi", "psi", "chi")[:arity]
+        expected = [dict(zip(names, combo))
+                    for combo in product(DEFAULT_POOL, repeat=arity)]
+        assert [match_schema(schema, inst)
+                for inst in schema_instances(schema, DEFAULT_POOL)] == expected
 
 
 class TestSoundness:

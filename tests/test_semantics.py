@@ -16,10 +16,17 @@ from deltalogic.formula import (
     parse,
     top,
 )
-from deltalogic.model import enumerate_models, make_model, random_model, FrameClassSpec
+from deltalogic.model import (
+    FrameClassSpec,
+    NeighborhoodModel,
+    enumerate_models,
+    make_model,
+    random_model,
+)
 from deltalogic.semantics import (
     UnknownAtomError,
     holds_at,
+    noncontingent_sets,
     truth_set,
     valid_in_model,
 )
@@ -60,6 +67,24 @@ class TestTruthSet:
         assert truth_set(two_state_model, f, memo=memo) == \
             truth_set(two_state_model, f)
         assert truth_set(two_state_model, parse("D p"), memo=memo) == 0b01
+
+
+class TestNoncontingentSets:
+    @given(models(max_states=3, atoms=()))
+    @settings(max_examples=150, deadline=None)
+    def test_table_agrees_with_the_delta_clause(self, m):
+        # Every truth set v, given to p: the fast-path table and the
+        # recursive evaluator's D clause must agree at every state.
+        for v in range(1 << m.state_count):
+            probe = NeighborhoodModel(m.state_count, m.neighborhoods, {"p": v})
+            d_mask = truth_set(probe, parse("D p"))
+            for state, coll in enumerate(m.neighborhoods):
+                assert (v in noncontingent_sets(coll, m.state_count)) == \
+                    bool(d_mask >> state & 1)
+
+    def test_complement_of_a_neighborhood_is_noncontingent(self):
+        assert noncontingent_sets(frozenset({0b001}), 3) == {0b001, 0b110}
+        assert noncontingent_sets(frozenset(), 2) == frozenset()
 
 
 class TestHoldsAt:
