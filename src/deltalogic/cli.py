@@ -61,14 +61,15 @@ def _load_model(path: str) -> NeighborhoodModel:
         return model_from_json(handle.read())
 
 
-def _parse_class(text: str) -> FrameClassSpec:
-    return FrameClassSpec.parse(text)
+def _split_list(text: str | None) -> tuple[str, ...]:
+    """The stripped, non-empty parts of a comma-separated option value."""
+    return tuple(part.strip() for part in (text or "").split(",") if part.strip())
 
 
 def _parse_pool(text: str | None) -> tuple[Formula, ...]:
     if text is None:
         return search.DEFAULT_POOL
-    pool = tuple(parse(part.strip()) for part in text.split(",") if part.strip())
+    pool = tuple(map(parse, _split_list(text)))
     if not pool:
         raise ValueError("empty instance pool")
     return pool
@@ -119,9 +120,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_validity(args) -> int:
-    spec = _parse_class(args.cls)
+    spec = FrameClassSpec.parse(args.cls)
     f = parse(args.formula, "extended" if args.extended else "core")
-    names = _pool_atoms((f,), tuple(args.atoms.split(",")) if args.atoms else ())
+    names = _pool_atoms((f,), _split_list(args.atoms))
     verdict = search.check_validity(f, spec, _search_config(args, names))
     data = _verdict_data(f, spec, verdict)
     if isinstance(verdict, search.Valid):
@@ -177,15 +178,17 @@ def _supplement_sweep(args) -> int:
 
 def _cmd_prove(args) -> int:
     if args.all_fixtures:
-        failed = 0
+        entries, lines = [], []
         for name in proofs.fixture_names():
             system, derivation = proofs.load_fixture(name)
             result = proofs.check_derivation(system, derivation)
+            entries.append({"name": name, "system": system, "accepted": result.accepted,
+                            "line": result.line, "reason": result.reason})
             status = "accepted" if result.accepted else (
                 f"rejected at line {result.line} ({result.reason})")
-            print(f"{name} [{system}]: {status}")
-            failed += 0 if result.accepted else 1
-        return 0 if failed == 0 else 1
+            lines.append(f"{name} [{system}]: {status}")
+        _emit({"fixtures": entries}, args.json, "\n".join(lines))
+        return 0 if all(entry["accepted"] for entry in entries) else 1
     if args.fixture:
         system, derivation = proofs.load_fixture(args.fixture)
         if args.system:
@@ -212,7 +215,7 @@ def _cmd_soundness(args) -> int:
     names = _pool_atoms(pool, ())
     cfg = _search_config(args, names)
     if args.schema:
-        spec = _parse_class(args.cls if args.cls else "all")
+        spec = FrameClassSpec.parse(args.cls if args.cls else "all")
         report = search.schema_soundness(args.schema, spec, pool, cfg)
     elif args.system:
         report = search.axiom_soundness_report(args.system, pool, cfg)
@@ -270,7 +273,7 @@ def _cmd_cube(args) -> int:
 
 
 def _cmd_lambda_eq(args) -> int:
-    base = tuple(parse(part.strip()) for part in args.base.split(",") if part.strip())
+    base = tuple(map(parse, _split_list(args.base)))
     if args.model:
         m = _load_model(args.model)
         comparison = lambdas.compare_lambdas(
@@ -307,7 +310,7 @@ def _cmd_lambda_eq(args) -> int:
 def _cmd_schema_exp(args) -> int:
     pool = _parse_pool(args.pool)
     names = _pool_atoms(pool, ())
-    spec = _parse_class(args.cls)
+    spec = FrameClassSpec.parse(args.cls)
     cfg = replace(_search_config(args, names), extended=True)
     report = search.schema_validity_experiment(spec, cfg, pool)
     items = []
@@ -326,7 +329,7 @@ def _cmd_schema_exp(args) -> int:
 
 
 def _cmd_monotone_exp(args) -> int:
-    base = tuple(parse(part.strip()) for part in args.base.split(",") if part.strip())
+    base = tuple(map(parse, _split_list(args.base)))
     universe = lambdas.close_universe(base, args.depth)
     names = _pool_atoms(universe.members, ())
     cfg = search.SearchConfig(mode="random", max_states=args.max_states,
@@ -342,9 +345,8 @@ def _cmd_monotone_exp(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    spec = _parse_class(args.cls)
-    names = tuple(part.strip() for part in args.atoms.split(",") if part.strip()) \
-        if args.atoms else ()
+    spec = FrameClassSpec.parse(args.cls)
+    names = _split_list(args.atoms)
     count = 0
     for m in enumerate_models(args.states, names, spec):
         count += 1
@@ -469,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--class", dest="cls", default="all")
     sub.add_argument("--count", action="store_true")
     sub.add_argument("--limit", type=int, default=0)
-    sub.add_argument("--json", action="store_true")
     sub.set_defaults(handler=_cmd_enumerate)
 
     return parser

@@ -23,13 +23,14 @@ Concrete grammar (ASCII):
                "|", "&" (left-associative)
     grouping   "(" ... ")"
 
-Formulas are immutable and hashable; sharing them across threads is safe.
+Formulas are immutable and hashable.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 RESERVED_ATOM = "_t"
 
@@ -169,12 +170,16 @@ def atoms_of(f: Formula) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 # Parser.
 
-_SYMBOLS = ("<->", "->", "[]", "!", "~", "|", "&", "(", ")")
+_TOKEN = re.compile(r"""
+    (?P<space>\s+)
+  | (?P<symbol><->|->|\[\]|[!~|&()])
+  | (?P<ident>\w+)
+  | (?P<other>.)
+""", re.VERBOSE | re.DOTALL)
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str  # one of the symbols, "ident" or "end"
+class _Token(NamedTuple):
+    kind: str  # the symbol itself, "ident" or "end"
     value: str
     line: int
     col: int
@@ -182,37 +187,35 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, value, start = m.lastgroup, m.group(), m.start()
+        if kind == "space":
+            if "\n" in value:
+                line += value.count("\n")
+                line_start = start + value.rindex("\n") + 1
             continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(_Token(sym, sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            if c.isalpha():
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                tokens.append(_Token("ident", text[i:j], line, col))
-                col += j - i
-                i = j
-            else:
-                raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(_Token("end", "", line, col))
+        col = start - line_start + 1
+        # An identifier starts with a letter; "_" and digits only follow one.
+        if kind == "other" or (kind == "ident" and not value[0].isalpha()):
+            raise ParseError(f"unexpected character {value[0]!r}", line, col)
+        tokens.append(_Token(value if kind == "symbol" else kind, value, line, col))
+    tokens.append(_Token("end", "", line, len(text) - line_start + 1))
     return tokens
+
+
+# Binary operators, loosest first: token -> (precedence, right-associative,
+# builder).  The builders desugar, so the parser only ever builds core nodes.
+_BINARY = {
+    "<->": (1, True, iff),
+    "->": (2, True, implies),
+    "|": (3, False, or_),
+    "&": (4, False, and_),
+}
+
+# Prefix operators bind tighter than every binary operator.  Keyed by token
+# value, since "D" and "Nb" are read as identifiers.
+_PREFIX = {"!": not_, "~": not_, "D": delta, "Nb": nabla, "[]": box}
 
 
 class _Parser:
@@ -221,86 +224,57 @@ class _Parser:
         self.pos = 0
         self.extended = extended
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def parse(self) -> Formula:
-        f = self.iff_level()
-        tok = self.peek()
+        f = self.expression(1)
+        tok = self.tokens[self.pos]
         if tok.kind != "end":
             raise ParseError(f"unexpected {tok.value!r}", tok.line, tok.col)
         return f
 
-    def iff_level(self) -> Formula:
-        left = self.imp_level()
-        if self.peek().kind == "<->":
-            self.advance()
-            return iff(left, self.iff_level())
-        return left
+    def expression(self, min_prec: int) -> Formula:
+        """Precedence climbing over the operators of _BINARY that bind at
+        least as tightly as min_prec."""
+        left = self.operand()
+        while True:
+            op = _BINARY.get(self.tokens[self.pos].kind)
+            if op is None or op[0] < min_prec:
+                return left
+            prec, right_assoc, build = op
+            self.pos += 1
+            left = build(left, self.expression(prec if right_assoc else prec + 1))
 
-    def imp_level(self) -> Formula:
-        left = self.or_level()
-        if self.peek().kind == "->":
-            self.advance()
-            return implies(left, self.imp_level())
-        return left
-
-    def or_level(self) -> Formula:
-        left = self.and_level()
-        while self.peek().kind == "|":
-            self.advance()
-            left = or_(left, self.and_level())
-        return left
-
-    def and_level(self) -> Formula:
-        left = self.unary_level()
-        while self.peek().kind == "&":
-            self.advance()
-            left = and_(left, self.unary_level())
-        return left
-
-    def unary_level(self) -> Formula:
-        tok = self.peek()
-        if tok.kind in ("!", "~"):
-            self.advance()
-            return not_(self.unary_level())
-        if tok.kind == "[]":
-            if not self.extended:
+    def operand(self) -> Formula:
+        """Prefix operators, then an atom, top, bot or a parenthesised formula."""
+        prefixes = []
+        tok = self.tokens[self.pos]
+        while tok.value in _PREFIX:
+            if tok.kind == "[]" and not self.extended:
                 raise BoxNotAllowedError(line=tok.line, col=tok.col)
-            self.advance()
-            return box(self.unary_level())
-        if tok.kind == "ident" and tok.value == "D":
-            self.advance()
-            return delta(self.unary_level())
-        if tok.kind == "ident" and tok.value == "Nb":
-            self.advance()
-            return nabla(self.unary_level())
-        return self.primary()
-
-    def primary(self) -> Formula:
-        tok = self.advance()
+            prefixes.append(_PREFIX[tok.value])
+            self.pos += 1
+            tok = self.tokens[self.pos]
+        self.pos += 1
         if tok.kind == "(":
-            f = self.iff_level()
-            closing = self.advance()
+            f = self.expression(1)
+            closing = self.tokens[self.pos]
+            self.pos += 1
             if closing.kind != ")":
                 raise ParseError("expected ')'", closing.line, closing.col)
-            return f
-        if tok.kind == "ident":
-            if tok.value == "top":
-                return top()
-            if tok.value == "bot":
-                return bot()
-            if tok.value[0].islower():
-                return atom(tok.value)
+        elif tok.value == "top":
+            f = top()
+        elif tok.value == "bot":
+            f = bot()
+        elif tok.kind == "ident" and tok.value[0].islower():
+            f = atom(tok.value)
+        elif tok.kind == "ident":
             raise ParseError(f"unknown name {tok.value!r}", tok.line, tok.col)
-        if tok.kind == "end":
+        elif tok.kind == "end":
             raise ParseError("unexpected end of input", tok.line, tok.col)
-        raise ParseError(f"unexpected {tok.value!r}", tok.line, tok.col)
+        else:
+            raise ParseError(f"unexpected {tok.value!r}", tok.line, tok.col)
+        for build in reversed(prefixes):
+            f = build(f)
+        return f
 
 
 def parse(text: str, mode: str = "core") -> Formula:

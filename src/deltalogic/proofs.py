@@ -333,7 +333,7 @@ def _parse_justification(text: str, line_no: int) -> Justification:
     raise DerivationFormatError(f"cannot parse justification {text!r}", line_no)
 
 
-def parse_derivation(text: str, mode: str = "core") -> Derivation:
+def parse_derivation(text: str) -> Derivation:
     steps = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -344,7 +344,7 @@ def parse_derivation(text: str, mode: str = "core") -> Derivation:
             raise DerivationFormatError(f"cannot parse step {line!r}", line_no)
         number = int(m.group(1))
         try:
-            formula = parse(m.group(2), mode)
+            formula = parse(m.group(2))
         except Exception as exc:
             raise DerivationFormatError(f"bad formula: {exc}", line_no) from None
         steps.append(Step(number, formula, _parse_justification(m.group(3), line_no)))

@@ -3,7 +3,7 @@ import io
 import json
 from pathlib import Path
 
-from deltalogic import cli
+from deltalogic import cli, proofs
 from deltalogic.model import make_model, model_from_json, model_to_json
 
 DATA = Path(__file__).parent / "data"
@@ -109,6 +109,16 @@ class TestProve:
         assert code == 0
         assert out.count("accepted") >= 5
 
+    def test_all_fixtures_json(self):
+        code, out, _ = run("prove", "--all-fixtures", "--json")
+        assert code == 0
+        entries = json.loads(out)["fixtures"]
+        assert [e["name"] for e in entries] == list(proofs.fixture_names())
+        for entry in entries:
+            system, _ = proofs.load_fixture(entry["name"])
+            assert entry == {"name": entry["name"], "system": system,
+                             "accepted": True, "line": None, "reason": None}
+
     def test_fixture_by_name(self):
         code, out, _ = run("prove", "--fixture", "equ_flip", "--json")
         assert code == 0
@@ -190,7 +200,7 @@ class TestLambdaEqOptions:
 
 class TestDeepNesting:
     NEGATIONS = "!" * 5000 + "p"
-    DELTAS = "D (" * 400 + "p" + ")" * 400
+    DELTAS = "D (" * 5000 + "p" + ")" * 5000
 
     def test_validity_refuses_deep_input(self):
         for formula in (self.NEGATIONS, self.DELTAS):
@@ -208,6 +218,15 @@ class TestDeepNesting:
         code, out, _ = run("check", "--model", MODEL_PATH, "--formula",
                            "!" * 300 + "p")
         assert (code, out) == (0, "true\n")
+
+    def test_parenthesised_nesting_answers(self):
+        # D p holds at both states, since V(p) = {0} is a neighborhood there;
+        # D D p holds at neither, and every further D keeps it false, since
+        # neither the empty set nor S is a neighborhood.
+        for formula, value in (("D (" * 400 + "p" + ")" * 400, "false"),
+                               ("(p & " * 300 + "p" + ")" * 300, "true")):
+            code, out, _ = run("check", "--model", MODEL_PATH, "--formula", formula)
+            assert (code, out) == (0, value + "\n")
 
 
 class TestExperiments:
@@ -242,6 +261,23 @@ class TestEnumerate:
         code, _, err = run("enumerate", "--states", "5")
         assert code == 2
         assert "error" in err
+
+    def test_json_is_not_an_option(self):
+        code, _, err = run("enumerate", "--states", "1", "--count", "--json")
+        assert code == 2
+        assert "unrecognized arguments: --json" in err
+
+
+class TestListOptions:
+    def test_spaces_and_empty_parts_are_ignored(self):
+        for argv in (("validity", "--formula", "D p -> p", "--max-states", "1", "--atoms"),
+                     ("enumerate", "--states", "1", "--count", "--atoms"),
+                     ("soundness", "--schema", "M", "--max-states", "1", "--pool"),
+                     ("monotone-exp", "--trials", "20", "--base")):
+            expected = run(*argv, "p,q")
+            assert expected[0] != 2
+            for spelling in ("p, q", " p ,q ", "p,,q"):
+                assert run(*argv, spelling) == expected
 
 
 class TestUsage:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import naive_tautology, random_core_formula
 from strategies import formulas, propositional_formulas
@@ -88,6 +89,101 @@ class TestParse:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             parse("p", mode="loose")
+
+    @pytest.mark.parametrize("text, message, line, col", [
+        ("p &\n  $q", "unexpected character '$'", 2, 3),
+        ("p | _t", "unexpected character '_'", 1, 5),
+        ("p & q)", "unexpected ')'", 1, 6),
+        ("(p & q", "expected ')'", 1, 7),
+        ("p ->", "unexpected end of input", 1, 5),
+        ("D Q", "unknown name 'Q'", 1, 3),
+    ])
+    def test_error_message_and_position(self, text, message, line, col):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (str(err.value), err.value.line, err.value.col) == (
+            f"{message} (line {line}, column {col})", line, col)
+
+    def test_box_error_position(self):
+        with pytest.raises(BoxNotAllowedError) as err:
+            parse("!\n [] p")
+        assert (str(err.value), err.value.line, err.value.col) == (
+            "box operator not allowed in core mode (line 2, column 2)", 2, 2)
+
+
+# The concrete syntax as this test reads it, independently of the parser:
+# binary operators loosest first with their associativity; every prefix
+# operator binds tighter than any binary one.
+PRECEDENCE = (("<->", "right"), ("->", "right"), ("|", "left"), ("&", "left"))
+BINARY_OPS = tuple(op for op, _ in PRECEDENCE)
+PREFIX_OPS = ("!", "~", "D", "Nb", "[]")
+TOP_CORE = Not(And(Not(Atom("_t")), Not(Not(Atom("_t")))))
+
+
+def sugar_trees(extended):
+    """Syntax trees over every connective and constant, sugar included."""
+    prefixes = PREFIX_OPS if extended else PREFIX_OPS[:-1]
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(st.sampled_from(prefixes), children),
+            st.tuples(st.sampled_from(BINARY_OPS), children, children))
+
+    return st.recursive(st.sampled_from([("p",), ("q",), ("top",), ("bot",)]),
+                        extend, max_leaves=12)
+
+
+def print_minimal(tree):
+    """Print tree with the fewest parentheses PRECEDENCE allows; return the
+    text and its binding level (len(PRECEDENCE) for prefix forms and leaves)."""
+    tight = len(PRECEDENCE)
+    if len(tree) == 1:
+        return tree[0], tight
+    if len(tree) == 2:
+        op, child = tree
+        text, level = print_minimal(child)
+        if level < tight:
+            text = f"({text})"
+        return f"{op} {text}" if op[0].isalpha() else op + text, tight
+    op, left, right = tree
+    level = BINARY_OPS.index(op)
+    assoc = PRECEDENCE[level][1]
+    left_text, left_level = print_minimal(left)
+    right_text, right_level = print_minimal(right)
+    if left_level < level or (left_level == level and assoc == "right"):
+        left_text = f"({left_text})"
+    if right_level < level or (right_level == level and assoc == "left"):
+        right_text = f"({right_text})"
+    return f"{left_text} {op} {right_text}", level
+
+
+def desugar(tree):
+    """The core formula a syntax tree stands for (module docstring's table)."""
+    if len(tree) == 1:
+        return {"top": TOP_CORE, "bot": Not(TOP_CORE)}.get(tree[0], Atom(tree[0]))
+    if len(tree) == 2:
+        c = desugar(tree[1])
+        return {"!": Not(c), "~": Not(c), "D": Delta(c), "Nb": Not(Delta(c)),
+                "[]": Box(c)}[tree[0]]
+    a, b = desugar(tree[1]), desugar(tree[2])
+    a_to_b, b_to_a = Not(And(a, Not(b))), Not(And(b, Not(a)))
+    return {"&": And(a, b), "|": Not(And(Not(a), Not(b))), "->": a_to_b,
+            "<->": And(a_to_b, b_to_a)}[tree[0]]
+
+
+class TestSugarRoundTrip:
+    def test_printer_example(self):
+        p, q = ("p",), ("q",)
+        tree = ("->", ("->", p, q), ("|", ("|", p, q), ("Nb", ("&", p, q))))
+        assert print_minimal(tree)[0] == "(p -> q) -> p | q | Nb (p & q)"
+
+    @given(sugar_trees(extended=False))
+    def test_core_mode(self, tree):
+        assert parse(print_minimal(tree)[0]) == desugar(tree)
+
+    @given(sugar_trees(extended=True))
+    def test_extended_mode(self, tree):
+        assert parse(print_minimal(tree)[0], "extended") == desugar(tree)
 
 
 class TestRender:
