@@ -148,6 +148,11 @@ def _cmd_props(args) -> int:
 def _cmd_supplement(args) -> int:
     if args.check:
         return _supplement_sweep(args)
+    if args.model is None:
+        raise ValueError("supplement needs --model or --check")
+    if args.json:
+        raise ValueError("--json applies only to --check; "
+                         "supplement --model always prints the model as JSON")
     m = _load_model(args.model)
     print(model_to_json(supplementation(m)))
     return 0

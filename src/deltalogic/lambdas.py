@@ -21,7 +21,17 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import semantics
-from .formula import RESERVED_ATOM, Formula, atoms_of, implies, is_tautology, or_, render
+from .formula import (
+    RESERVED_ATOM,
+    And,
+    Formula,
+    Not,
+    atoms_of,
+    implies,
+    is_tautology,
+    or_,
+    render,
+)
 from .model import ALL_FRAMES, NeighborhoodModel, model_stream
 
 
@@ -241,6 +251,33 @@ class EqualityScanReport:
         return not self.differences
 
 
+def _disjunction_plan(members: Sequence[Formula]
+                      ) -> tuple[list[tuple[int, int] | None], list[int]]:
+    """The disjunction structure of a universe, in member order.
+
+    A member of the shape or_(x, y), with x and y earlier members, gets the
+    indexes (a, b) of its parts; every other member is a leaf and gets None.
+    Row i has bit j set iff members[i] derives members[j].  A leaf's row
+    comes from derives; a disjunction's is the AND of its parts' rows, since
+    x | y -> g is a tautology iff x -> g and y -> g both are.
+    """
+    index: dict[Formula, int] = {}
+    parts: list[tuple[int, int] | None] = []
+    rows: list[int] = []
+    for i, f in enumerate(members):
+        match f:
+            case Not(And(Not(x), Not(y))) if x in index and y in index:
+                a, b = index[x], index[y]
+                parts.append((a, b))
+                rows.append(rows[a] & rows[b])
+            case _:
+                parts.append(None)
+                rows.append(sum(1 << j for j, g in enumerate(members)
+                                if derives(f, g)))
+        index.setdefault(f, i)
+    return parts, rows
+
+
 def lambda_equality_scan(base: Sequence[Formula], depth: int,
                          exhaustive_states: int = 0,
                          random_trials: int = 0, random_states: int = 3,
@@ -249,17 +286,20 @@ def lambda_equality_scan(base: Sequence[Formula], depth: int,
 
     Scans all models up to exhaustive_states over the base's atoms, then
     random_trials seeded random models with random_states states.  The sweep
-    itself works on truth sets and each state's noncontingent_sets table;
-    any difference it sees is recomputed through the reference selection
-    functions before being reported.
+    works from the universe's disjunction structure (_disjunction_plan): only
+    leaf members are evaluated with truth_set and checked with derives, and a
+    disjunction's truth set and derivability row come from its parts'.  At
+    each state it decides Kuhn membership once per distinct truth set and
+    both Humberstone memberships from the row and the members whose truth
+    set is not in the state's noncontingent_sets table.  Any state where the
+    three disagree is recomputed through the reference selection functions
+    (compare_state) before being reported.
     """
     universe = close_universe(base, depth)
     members = universe.members
-    count = len(members)
     names = sorted({name for member in members
                     for name in atoms_of(member)} - {RESERVED_ATOM})
-    derived_indexes = [tuple(j for j in range(count) if derives(members[i], members[j]))
-                       for i in range(count)]
+    parts, rows = _disjunction_plan(members)
     differences = []
     checked = 0
     for model in model_stream(names, ALL_FRAMES,
@@ -268,15 +308,20 @@ def lambda_equality_scan(base: Sequence[Formula], depth: int,
                               seed=seed):
         checked += 1
         memo: dict[Formula, int] = {}
-        masks = [semantics.truth_set(model, m, memo=memo) for m in members]
+        masks: list[int] = []
+        for f, part in zip(members, parts):
+            masks.append(semantics.truth_set(model, f, memo=memo) if part is None
+                         else masks[part[0]] | masks[part[1]])
+        distinct = set(masks)
         for state, coll in enumerate(model.neighborhoods):
-            ok = semantics.noncontingent_sets(coll, model.state_count).__contains__
+            table = semantics.noncontingent_sets(coll, model.state_count)
+            in_k = {v: all(v | w in table for w in distinct) for v in distinct}
+            bad = sum(1 << j for j, v in enumerate(masks) if v not in table)
             agree = True
-            for i in range(count):
-                in_k = all(ok(masks[i] | masks[j]) for j in range(count))
-                in_hs = all(ok(masks[j]) for j in derived_indexes[i])
-                in_ho = ok(masks[i]) and in_hs
-                if not (in_k == in_ho == in_hs):
+            for v, row in zip(masks, rows):
+                in_hs = not row & bad
+                in_ho = in_hs and v in table
+                if not in_k[v] == in_ho == in_hs:
                     agree = False
                     break
             if not agree:

@@ -43,6 +43,7 @@ from .formula import (
     Box,
     Delta,
     Formula,
+    FormulaError,
     Not,
     TooManyAtomsError,
     and_,
@@ -345,7 +346,7 @@ def parse_derivation(text: str) -> Derivation:
         number = int(m.group(1))
         try:
             formula = parse(m.group(2))
-        except Exception as exc:
+        except FormulaError as exc:
             raise DerivationFormatError(f"bad formula: {exc}", line_no) from None
         steps.append(Step(number, formula, _parse_justification(m.group(3), line_no)))
     if not steps:

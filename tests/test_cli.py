@@ -102,6 +102,16 @@ class TestSupplement:
         assert code == 0
         assert "violations: 0" in out
 
+    def test_json_needs_check(self):
+        code, out, err = run("supplement", "--model", MODEL_PATH, "--json")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --json applies only to --check")
+
+    def test_model_or_check_required(self):
+        code, out, err = run("supplement")
+        assert (code, out) == (2, "")
+        assert err == "error: supplement needs --model or --check\n"
+
 
 class TestProve:
     def test_all_fixtures(self):
@@ -218,6 +228,22 @@ class TestDeepNesting:
         code, out, _ = run("check", "--model", MODEL_PATH, "--formula",
                            "!" * 300 + "p")
         assert (code, out) == (0, "true\n")
+
+    def test_prove_refuses_deep_taut_line(self, tmp_path):
+        side = "D (" * 600 + "p" + ")" * 600
+        path = tmp_path / "deep.drv"
+        path.write_text(f"1. {side} <-> {side} ; taut\n")
+        code, out, err = run("prove", "--derivation", str(path), "--system", "E")
+        assert (code, out) == (2, "")
+        assert err == "error: input nested too deeply\n"
+
+    def test_prove_reports_malformed_formula(self, tmp_path):
+        path = tmp_path / "bad.drv"
+        path.write_text("1. p & ; taut\n")
+        code, out, err = run("prove", "--derivation", str(path), "--system", "E")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad formula: ")
+        assert err.endswith("(derivation line 1)\n")
 
     def test_parenthesised_nesting_answers(self):
         # D p holds at both states, since V(p) = {0} is a neighborhood there;

@@ -2,22 +2,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import models
+from strategies import formulas, models
 
-from deltalogic.formula import and_, atom, delta, not_, or_, parse, render
+from deltalogic.formula import (
+    RESERVED_ATOM,
+    Delta,
+    and_,
+    atom,
+    atoms_of,
+    delta,
+    iter_subformulas,
+    not_,
+    or_,
+    parse,
+    render,
+)
 from deltalogic.lambdas import (
     Universe,
+    _disjunction_plan,
     build_theory,
     close_universe,
     compare_lambdas,
+    compare_state,
     derives,
     kuhn_subset_of_humberstone,
     lambda_equality_scan,
     lambda_humberstone,
     lambda_kuhn,
 )
-from deltalogic.model import make_model, random_model
-from deltalogic.semantics import holds_at, truth_set
+from deltalogic.model import ALL_FRAMES, make_model, model_stream, random_model
+from deltalogic.semantics import holds_at, noncontingent_sets, truth_set
 
 
 P, Q = atom("p"), atom("q")
@@ -195,6 +209,100 @@ class TestEquality:
         u = close_universe([P, Q], 1)
         comparison = compare_lambdas(m, u)
         assert comparison.equal
+
+
+def _reference_sweep(base, depth, exhaustive_states=0, random_trials=0,
+                     random_states=3, seed=17):
+    """The scan member by member: every pair through derives and truth_set."""
+    universe = close_universe(base, depth)
+    members = universe.members
+    names = sorted({name for f in members for name in atoms_of(f)} - {RESERVED_ATOM})
+    derived = [[j for j, g in enumerate(members) if derives(f, g)] for f in members]
+    differences = []
+    checked = 0
+    for model in model_stream(names, ALL_FRAMES,
+                              exhaustive=range(1, exhaustive_states + 1),
+                              random_sizes=(random_states,), trials=random_trials,
+                              seed=seed):
+        checked += 1
+        masks = [truth_set(model, f) for f in members]
+        for state, coll in enumerate(model.neighborhoods):
+            ok = noncontingent_sets(coll, model.state_count).__contains__
+            for i, row in enumerate(derived):
+                in_k = all(ok(masks[i] | v) for v in masks)
+                in_hs = all(ok(masks[j]) for j in row)
+                in_ho = ok(masks[i]) and in_hs
+                if not in_k == in_ho == in_hs:
+                    report = compare_state(build_theory(model, state, universe),
+                                           universe)
+                    if not report.equal:
+                        differences.append((model, report))
+                    break
+    scope = (f"exhaustive |S|<={exhaustive_states} plus random trials={random_trials} "
+             f"|S|={random_states} seed={seed}")
+    return scope, checked, tuple(differences)
+
+
+def _scan_result(*args, **kwargs):
+    report = lambda_equality_scan(*args, **kwargs)
+    return report.scope, report.models_checked, report.differences
+
+
+def _has_delta(base):
+    return any(isinstance(g, Delta) for f in base for g in iter_subformulas(f))
+
+
+class TestScanPlan:
+    """lambda_equality_scan returns what the member-by-member sweep returns."""
+
+    def test_pinned_unclosed_universe_has_differences(self):
+        # Depth 1 over three formulas is not disjunction-closed, so states
+        # disagree and every difference goes through compare_state.
+        base = tuple(map(parse, ("p", "D D p", "q")))
+        kwargs = dict(exhaustive_states=1, random_trials=60, random_states=3, seed=5)
+        result = _scan_result(base, 1, **kwargs)
+        assert result == _reference_sweep(base, 1, **kwargs)
+        assert result[1] == 76
+        assert len(result[2]) == 30
+
+    @given(st.data(), st.integers(1, 2), st.integers(0, 1), st.integers(0, 12),
+           st.integers(2, 3), st.integers(0, 2 ** 16))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_reference_sweep(self, data, depth, exhaustive, trials,
+                                    states, seed):
+        # Three formulas at depth 2 make about 150 members, and the
+        # reference derives every pair, so depth 2 takes at most two.
+        base = data.draw(st.lists(formulas(max_depth=2), min_size=1,
+                                  max_size=4 - depth, unique=True).filter(_has_delta))
+        kwargs = dict(exhaustive_states=exhaustive, random_trials=trials,
+                      random_states=states, seed=seed)
+        assert _scan_result(base, depth, **kwargs) == \
+            _reference_sweep(base, depth, **kwargs)
+
+    @pytest.mark.parametrize("texts,depth", (
+        (("p", "q"), 2),
+        (("p", "D D p", "q"), 1),
+        (("p | q", "p", "q"), 1),
+        (("D p & !q", "q | D q"), 2),
+    ))
+    def test_rows_equal_pairwise_derives(self, texts, depth):
+        members = close_universe(tuple(map(parse, texts)), depth).members
+        parts, rows = _disjunction_plan(members)
+        for i, f in enumerate(members):
+            assert rows[i] == sum(1 << j for j, g in enumerate(members)
+                                  if derives(f, g)), render(f)
+            if parts[i] is not None:
+                a, b = parts[i]
+                assert a < i and b < i
+                assert f == or_(members[a], members[b])
+
+    def test_parts_found_by_shape(self):
+        # Only the base members are leaves of the depth-2 universe over p, q;
+        # a base member written as a disjunction of earlier ones is split too.
+        parts, _ = _disjunction_plan(close_universe([P, Q], 2).members)
+        assert [i for i, part in enumerate(parts) if part is None] == [0, 1]
+        parts, _ = _disjunction_plan((P, Q, parse("p | q"), parse("q | r")))
+        assert parts == [None, None, (0, 1), None]
 
 
 class TestInclusionWithoutClosure:

@@ -406,6 +406,7 @@ class TestMinimalWitnessSizes:
         assert not _schema_falsifiable("M", spec, 1)
         assert not _schema_falsifiable("M", spec, 2)
         assert not _schema_falsifiable("M", spec, 3)
+        assert _schema_falsifiable("M", spec, 4)
 
     def test_delta_m_needs_four_states_on_icn_frames(self):
         spec = FrameClassSpec.parse("i,c,n")
