@@ -84,9 +84,13 @@ def _pool_atoms(pool: Sequence[Formula], base: tuple[str, ...]) -> tuple[str, ..
 
 
 def _search_config(args, atoms: tuple[str, ...]) -> search.SearchConfig:
-    return search.SearchConfig(
+    cfg = search.SearchConfig(
         mode=args.mode, max_states=args.max_states, trials=args.trials,
         seed=args.seed, atoms=atoms, extended=getattr(args, "extended", False))
+    # A verdict over no models would claim more than its scope.
+    if (cfg.max_states if cfg.mode == "exhaustive" else cfg.trials) == 0:
+        raise ValueError(f"scope {cfg.scope()} holds no model")
+    return cfg
 
 
 def _verdict_data(formula: Formula, spec: FrameClassSpec,
@@ -147,6 +151,9 @@ def _cmd_props(args) -> int:
 
 def _cmd_supplement(args) -> int:
     if args.check:
+        if args.model is not None:
+            raise ValueError("--model applies only without --check; "
+                             "the closure-law sweep reads no model")
         return _supplement_sweep(args)
     if args.model is None:
         raise ValueError("supplement needs --model or --check")
@@ -301,6 +308,9 @@ def _cmd_lambda_eq(args) -> int:
                 print(f"state {item['state']}: equal={item['equal']} "
                       f"lambda_k={item['lambda_k']}")
         return 0 if comparison.equal else 1
+    if args.exhaustive_states == 0 and args.trials == 0:
+        raise ValueError("scope holds no model: --exhaustive-states and "
+                         "--trials are both 0")
     report = lambdas.lambda_equality_scan(
         base, args.depth, exhaustive_states=args.exhaustive_states,
         random_trials=args.trials, random_states=args.max_states, seed=args.seed)
@@ -337,8 +347,7 @@ def _cmd_monotone_exp(args) -> int:
     base = tuple(map(parse, _split_list(args.base)))
     universe = lambdas.close_universe(base, args.depth)
     names = _pool_atoms(universe.members, ())
-    cfg = search.SearchConfig(mode="random", max_states=args.max_states,
-                              trials=args.trials, seed=args.seed, atoms=names)
+    cfg = _search_config(args, names)
     report = search.almost_monotonicity_experiment(universe, cfg)
     status = "inconclusive" if report.inconclusive else (
         f"{len(report.violations)} re-verified violations")
@@ -368,11 +377,18 @@ def _cmd_enumerate(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing.
 
+def _count(text: str) -> int:
+    """The value of a count option (states, trials, limit): an int >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {text!r}")
+    return int(text)
+
+
 def _add_search_options(sub):
     sub.add_argument("--mode", choices=("exhaustive", "random"),
                      default="exhaustive")
-    sub.add_argument("--max-states", type=int, default=2)
-    sub.add_argument("--trials", type=int, default=1000)
+    sub.add_argument("--max-states", type=_count, default=2)
+    sub.add_argument("--trials", type=_count, default=1000)
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sub.add_argument("--json", action="store_true")
 
@@ -409,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--model")
     sub.add_argument("--check", action="store_true",
                      help="run the closure-law sweep instead of transforming")
-    sub.add_argument("--trials", type=int, default=1000)
+    sub.add_argument("--trials", type=_count, default=1000)
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(handler=_cmd_supplement)
@@ -424,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("soundness", help="axiom instance pools vs a class")
     sub.add_argument("--system", choices=proofs.SYSTEM_IDS)
-    sub.add_argument("--schema", choices=("EQU", "M", "C", "N", "M'", "C'"))
+    sub.add_argument("--schema", choices=tuple(proofs.SCHEMAS))
     sub.add_argument("--class", dest="cls", default=None)
     sub.add_argument("--pool", default=None,
                      help="comma-separated formulas (default pool: p, q, !p, !q, p & q, p | q)")
@@ -433,9 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("cube", help="separation witnesses between systems")
     sub.add_argument("--pool", default=None)
-    sub.add_argument("--max-states", type=int, default=2)
-    sub.add_argument("--trials", type=int, default=2000)
-    sub.add_argument("--random-max-states", type=int, default=4)
+    sub.add_argument("--max-states", type=_count, default=2)
+    sub.add_argument("--trials", type=_count, default=2000)
+    sub.add_argument("--random-max-states", type=_count, default=4)
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(handler=_cmd_cube)
@@ -446,9 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--model")
     sub.add_argument("--base", default="p,q")
     sub.add_argument("--depth", type=int, default=1)
-    sub.add_argument("--exhaustive-states", type=int, default=0)
-    sub.add_argument("--max-states", type=int, default=3)
-    sub.add_argument("--trials", type=int, default=1000)
+    sub.add_argument("--exhaustive-states", type=_count, default=0)
+    sub.add_argument("--max-states", type=_count, default=3)
+    sub.add_argument("--trials", type=_count, default=1000)
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(handler=_cmd_lambda_eq)
@@ -464,18 +480,18 @@ def build_parser() -> argparse.ArgumentParser:
                               help="monotonicity failures of the schema selection")
     sub.add_argument("--base", default="p,q")
     sub.add_argument("--depth", type=int, default=1)
-    sub.add_argument("--max-states", type=int, default=3)
-    sub.add_argument("--trials", type=int, default=1000)
+    sub.add_argument("--max-states", type=_count, default=3)
+    sub.add_argument("--trials", type=_count, default=1000)
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sub.add_argument("--json", action="store_true")
-    sub.set_defaults(handler=_cmd_monotone_exp)
+    sub.set_defaults(handler=_cmd_monotone_exp, mode="random")
 
     sub = commands.add_parser("enumerate", help="stream or count models of a class")
     sub.add_argument("--states", type=int, required=True)
     sub.add_argument("--atoms", default=None)
     sub.add_argument("--class", dest="cls", default="all")
     sub.add_argument("--count", action="store_true")
-    sub.add_argument("--limit", type=int, default=0)
+    sub.add_argument("--limit", type=_count, default=0)
     sub.set_defaults(handler=_cmd_enumerate)
 
     return parser

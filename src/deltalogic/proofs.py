@@ -9,6 +9,10 @@ D a <-> D b):
     C     D a & D b -> D (a & b)
     N     D top
 
+SCHEMAS declares each of them once, as a builder, beside two variants that
+only the soundness scans use, M' (D a -> D (a -> b) | D (!a -> c)) and
+C' (D (b -> a) & D (!b -> a) -> D a); "ax:" accepts only the four axioms.
+
 The systems and the frame classes they are sound for:
 
     E    EQU            all frames          EC   EQU C         i,c
@@ -35,7 +39,8 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Union
+from inspect import signature
+from typing import Callable, Union
 
 from .formula import (
     And,
@@ -107,21 +112,33 @@ def system_spec(system: str) -> dict[str, tuple[str, ...]]:
 # ---------------------------------------------------------------------------
 # Axiom schemas and matching.
 
+SCHEMAS: dict[str, Callable[..., Formula]] = {
+    "EQU": lambda a: iff(delta(a), delta(not_(a))),
+    "M": lambda a, b, c: implies(delta(a), or_(delta(or_(a, b)), delta(or_(not_(a), c)))),
+    "C": lambda a, b: implies(and_(delta(a), delta(b)), delta(and_(a, b))),
+    "N": lambda: delta(top()),
+    "M'": lambda a, b, c: implies(delta(a), or_(delta(implies(a, b)),
+                                                delta(implies(not_(a), c)))),
+    "C'": lambda a, b: implies(and_(delta(implies(b, a)), delta(implies(not_(b), a))),
+                               delta(a)),
+}
+
+
 @dataclass(frozen=True, slots=True)
 class _MetaVar(Formula):
     name: str
 
 
-_PH = _MetaVar("phi")
-_PS = _MetaVar("psi")
-_CH = _MetaVar("chi")
+_METAVARS = (_MetaVar("phi"), _MetaVar("psi"), _MetaVar("chi"))
 
-_SCHEMAS: dict[str, Formula] = {
-    "EQU": iff(delta(_PH), delta(not_(_PH))),
-    "M": implies(delta(_PH), or_(delta(or_(_PH, _PS)), delta(or_(not_(_PH), _CH)))),
-    "C": implies(and_(delta(_PH), delta(_PS)), delta(and_(_PH, _PS))),
-    "N": delta(top()),
-}
+# The checker's patterns: each builder applied to as many of phi, psi, chi
+# as it takes.
+_PATTERNS: dict[str, Formula] = {
+    name: build(*_METAVARS[:len(signature(build).parameters)])
+    for name, build in SCHEMAS.items()}
+
+# The conclusion of RE: D phi <-> D psi.
+_RE_PATTERN = iff(delta(_METAVARS[0]), delta(_METAVARS[1]))
 
 
 def _unify(pattern: Formula, f: Formula,
@@ -154,19 +171,9 @@ def match_schema(schema: str, f: Formula) -> dict[str, Formula] | None:
     equivalent but syntactically different formulas do not match.  The
     N schema has no metavariables, so a match yields an empty dict.
     """
-    if schema not in _SCHEMAS:
+    if schema not in _PATTERNS:
         raise ValueError(f"unknown schema {schema!r}")
-    return _unify(_SCHEMAS[schema], f, {})
-
-
-_IFF_PATTERN = iff(_MetaVar("_lhs"), _MetaVar("_rhs"))
-
-
-def _match_iff(f: Formula) -> tuple[Formula, Formula] | None:
-    binding = _unify(_IFF_PATTERN, f, {})
-    if binding is None:
-        return None
-    return binding["_lhs"], binding["_rhs"]
+    return _unify(_PATTERNS[schema], f, {})
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +298,11 @@ def check_derivation(system: str, derivation: Derivation) -> CheckResult:
                 source = cited(source_index)
                 if isinstance(source, CheckResult):
                     return source
-                parts = _match_iff(step.formula)
-                if parts is None or not (isinstance(parts[0], Delta)
-                                         and isinstance(parts[1], Delta)):
+                binding = _unify(_RE_PATTERN, step.formula, {})
+                if binding is None:
                     return _rejected(n, JUSTIFICATION_MISMATCH,
                                      "RE line must have the shape D a <-> D b")
-                left, right = parts
-                if source != iff(left.child, right.child):
+                if source != iff(binding["phi"], binding["psi"]):
                     return _rejected(n, JUSTIFICATION_MISMATCH,
                                      f"line {source_index} is not the matching "
                                      "equivalence a <-> b")

@@ -15,7 +15,8 @@ is reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import groupby, islice
+from inspect import signature
+from itertools import groupby, islice, product
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -38,13 +39,12 @@ from .formula import (
     nabla,
     not_,
     or_,
-    top,
     RESERVED_ATOM,
 )
 from .lambdas import Universe, build_theory
 from .model import ALL_FRAMES, FrameClassSpec, NeighborhoodModel, model_stream
 from .model import random_model  # noqa: F401  (benchmarks/selftest.py traces this binding)
-from .proofs import SYSTEM_AXIOMS, system_axioms, system_class
+from .proofs import SCHEMAS, SYSTEM_AXIOMS, system_axioms, system_class
 
 DEFAULT_SEED = 17
 
@@ -139,45 +139,21 @@ def _verify_countermodel(model: NeighborhoodModel, state: int, f: Formula,
 # Schema instance pools.
 
 def schema_instances(schema: str, pool: Sequence[Formula]) -> tuple[Formula, ...]:
-    """All instances of a schema with metavariables drawn from the pool.
-
-    Besides the axioms EQU, M, C, N this also builds the implication-form
-    variants M' (D a -> D (a -> b) | D (!a -> c)) and C'
-    (D (b -> a) & D (!b -> a) -> D a).
-    """
+    """All instances of a schema in proofs.SCHEMAS, metavariables drawn from
+    the pool in product order."""
     if not pool:
         raise ValueError("instance pool must be nonempty")
-    if schema == "EQU":
-        return tuple(iff(delta(f), delta(not_(f))) for f in pool)
-    if schema == "M":
-        return tuple(
-            implies(delta(f), or_(delta(or_(f, g)), delta(or_(not_(f), h))))
-            for f in pool for g in pool for h in pool)
-    if schema == "C":
-        return tuple(
-            implies(and_(delta(f), delta(g)), delta(and_(f, g)))
-            for f in pool for g in pool)
-    if schema == "N":
-        return (delta(top()),)
-    if schema == "M'":
-        return tuple(
-            implies(delta(f), or_(delta(implies(f, g)), delta(implies(not_(f), h))))
-            for f in pool for g in pool for h in pool)
-    if schema == "C'":
-        return tuple(
-            implies(and_(delta(implies(g, f)), delta(implies(not_(g), f))), delta(f))
-            for f in pool for g in pool)
-    raise ValueError(f"unknown schema {schema!r}")
+    if schema not in SCHEMAS:
+        raise ValueError(f"unknown schema {schema!r}")
+    build = SCHEMAS[schema]
+    arity = len(signature(build).parameters)
+    return tuple(build(*combo) for combo in product(pool, repeat=arity))
 
 
 def almost_definability_instances(pool: Sequence[Formula]) -> tuple[tuple[Formula, Formula, Formula], ...]:
     """(phi, chi, instance) triples of Nb c -> ([] a <-> D a & D (c -> a))."""
-    items = []
-    for f in pool:
-        for c in pool:
-            inst = implies(nabla(c), iff(box(f), and_(delta(f), delta(implies(c, f)))))
-            items.append((f, c, inst))
-    return tuple(items)
+    return tuple((f, c, implies(nabla(c), iff(box(f), and_(delta(f), delta(implies(c, f))))))
+                 for f, c in product(pool, repeat=2))
 
 
 # ---------------------------------------------------------------------------

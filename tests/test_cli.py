@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import re
 from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from deltalogic import cli, proofs
 from deltalogic.model import make_model, model_from_json, model_to_json
@@ -111,6 +115,13 @@ class TestSupplement:
         code, out, err = run("supplement")
         assert (code, out) == (2, "")
         assert err == "error: supplement needs --model or --check\n"
+
+    def test_check_refuses_model(self):
+        # The sweep never opens the file, so a missing one must not pass.
+        code, out, err = run("supplement", "--check", "--model", "/nonexistent",
+                             "--trials", "5")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --model applies only without --check")
 
 
 class TestProve:
@@ -292,6 +303,95 @@ class TestEnumerate:
         code, _, err = run("enumerate", "--states", "1", "--count", "--json")
         assert code == 2
         assert "unrecognized arguments: --json" in err
+
+
+class TestEmptyScopes:
+    @pytest.mark.parametrize("argv", [
+        ("lambda-eq", "--trials", "-1"),
+        ("supplement", "--check", "--trials", "-2"),
+        ("soundness", "--system", "K", "--mode", "random", "--trials", "-5"),
+        ("enumerate", "--states", "1", "--limit", "-1"),
+        ("validity", "--formula", "p", "--max-states", "-1"),
+        ("cube", "--random-max-states", "-1"),
+        ("lambda-eq", "--exhaustive-states", "-2"),
+    ])
+    def test_negative_count_is_usage_error(self, argv):
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "")
+        assert f"expected a count >= 0, got '{argv[-1]}'" in err
+
+    def test_non_integer_count_is_usage_error(self):
+        code, _, err = run("validity", "--formula", "p", "--max-states", "two")
+        assert code == 2
+        assert "expected a count >= 0, got 'two'" in err
+
+    @pytest.mark.parametrize("argv, scope", [
+        (("validity", "--formula", "p", "--max-states", "0"), "exhaustive |S|<=0"),
+        (("schema-exp", "--max-states", "0"), "exhaustive |S|<=0"),
+        (("soundness", "--system", "K", "--mode", "random", "--trials", "0"),
+         "random trials=0 |S|=2 seed=17"),
+        (("monotone-exp", "--trials", "0"), "random trials=0 |S|=3 seed=17"),
+    ])
+    def test_search_scope_without_models_is_refused(self, argv, scope):
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: scope {scope} holds no model\n"
+
+    def test_lambda_scan_without_models_is_refused(self):
+        code, out, err = run("lambda-eq", "--trials", "0")
+        assert (code, out) == (2, "")
+        assert err == ("error: scope holds no model: --exhaustive-states and "
+                       "--trials are both 0\n")
+
+    def test_zero_trials_in_exhaustive_mode_still_runs(self):
+        code, out, _ = run("soundness", "--schema", "EQU", "--mode", "exhaustive",
+                           "--max-states", "1", "--trials", "0")
+        assert code == 0
+        assert "(exhaustive |S|<=1)" in out
+
+
+# Text a run that checked no model would print: a model count of 0, or a
+# search scope with no models in it.
+_EMPTY_REPORT = re.compile(r"(?<!\d)0 models|\((exhaustive \|S\|<=0|random trials=0 )")
+
+# Per command: fixed arguments, then (count option, largest value drawn).
+# The caps keep every scan to a few milliseconds.
+_FUZZED = {
+    "validity": (("--formula", "D p -> D p"),
+                 (("--max-states", 1), ("--trials", 3))),
+    "soundness": (("--system", "K"), (("--max-states", 1), ("--trials", 3))),
+    "schema-exp": (("--pool", "p,q"), (("--max-states", 1), ("--trials", 3))),
+    "lambda-eq": ((), (("--exhaustive-states", 1), ("--max-states", 1),
+                       ("--trials", 3))),
+    "cube": ((), (("--max-states", 1), ("--trials", 3), ("--random-max-states", 3))),
+    "supplement": (("--check",), (("--trials", 3),)),
+    "monotone-exp": ((), (("--max-states", 1), ("--trials", 3))),
+    "enumerate": (("--states", "1"), (("--limit", 3),)),
+}
+_MODE_COMMANDS = ("validity", "soundness", "schema-exp")
+
+
+@st.composite
+def _count_argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZED)))
+    fixed, counts = _FUZZED[command]
+    argv = [command, *fixed]
+    if command in _MODE_COMMANDS:
+        argv += ["--mode", draw(st.sampled_from(("exhaustive", "random")))]
+    for option, high in counts:
+        argv += [option, str(draw(st.integers(-3, high)))]
+    return argv
+
+
+class TestCountFuzz:
+    @settings(max_examples=120, deadline=None)
+    @given(_count_argv())
+    def test_counts_never_crash_or_claim_an_empty_scope(self, argv):
+        code, out, err = run(*argv)
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err
+        if code == 0:
+            assert not _EMPTY_REPORT.search(out), (argv, out)
 
 
 class TestListOptions:

@@ -107,6 +107,30 @@ class TestCheckDerivation:
         result = check_derivation("K", d)
         assert (result.line, result.reason) == (1, MALFORMED)
 
+    @pytest.mark.parametrize("line", [
+        "1. D p -> D (p -> q) | D (!p -> q) ; ax:M'",
+        "1. D (q -> p) & D (!q -> p) -> D p ; ax:C'",
+    ])
+    def test_scan_only_variants_are_not_axioms(self, line):
+        # M' and C' have patterns, but ax: accepts only the four axioms.
+        result = check_derivation("K", parse_derivation(line))
+        name = line.rsplit(":", 1)[1]
+        assert (result.line, result.reason, result.detail) == \
+            (1, MALFORMED, f"unknown axiom {name!r}")
+
+    @pytest.mark.parametrize("formula, detail", [
+        ("p <-> p", "RE line must have the shape D a <-> D b"),
+        ("D (p | p) <-> p", "RE line must have the shape D a <-> D b"),
+        ("D (p | p) -> D p", "RE line must have the shape D a <-> D b"),
+        ("D (p | q) <-> D p", "line 1 is not the matching equivalence a <-> b"),
+    ])
+    def test_re_rejection_details(self, formula, detail):
+        d = Derivation.from_lines([(parse("(p | p) <-> p"), Taut()),
+                                   (parse(formula), RE(1))])
+        result = check_derivation("E", d)
+        assert (result.line, result.reason, result.detail) == \
+            (2, JUSTIFICATION_MISMATCH, detail)
+
     def test_forward_citation_is_malformed(self):
         d = Derivation.from_lines([
             (parse("D p <-> D !p"), Ax("EQU")),

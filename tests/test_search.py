@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from strategies import formulas, models
 
-from deltalogic.formula import BoxNotAllowedError, and_, atom, box, delta, not_, parse, top
+from deltalogic.formula import (BoxNotAllowedError, and_, atom, box, delta, iff, implies,
+                                 nabla, not_, or_, parse, top)
 from deltalogic.lambdas import close_universe
 from deltalogic.model import (
     ALL_FRAMES,
@@ -16,7 +17,7 @@ from deltalogic.model import (
     enumerate_models,
     make_model,
 )
-from deltalogic.proofs import SYSTEM_IDS, match_schema, system_axioms, system_class
+from deltalogic.proofs import SCHEMAS, SYSTEM_IDS, match_schema, system_axioms, system_class
 from deltalogic.search import (
     Countermodel,
     DEFAULT_POOL,
@@ -127,16 +128,66 @@ class TestSchemaInstances:
         triples = almost_definability_instances((atom("p"), atom("q")))
         assert len(triples) == 4
 
-    @pytest.mark.parametrize("schema, arity", [("EQU", 1), ("M", 3), ("C", 2), ("N", 0)])
+    @pytest.mark.parametrize("schema, arity", [("EQU", 1), ("M", 3), ("C", 2), ("N", 0),
+                                               ("M'", 3), ("C'", 2)])
     def test_instances_match_the_proof_schemas(self, schema, arity):
-        # The axiom shapes are written twice: proofs._SCHEMAS for matching
-        # derivation lines, schema_instances for soundness pools.  Each
-        # instance must match with phi, psi, chi bound in product order.
+        # proofs.SCHEMAS builds both the checker's patterns and the pools:
+        # each instance must match with phi, psi, chi bound in product order.
         names = ("phi", "psi", "chi")[:arity]
         expected = [dict(zip(names, combo))
                     for combo in product(DEFAULT_POOL, repeat=arity)]
         assert [match_schema(schema, inst)
                 for inst in schema_instances(schema, DEFAULT_POOL)] == expected
+
+
+def _reference_instances(schema, pool):
+    """The schema shapes written out independently of proofs.SCHEMAS."""
+    if schema == "EQU":
+        return tuple(iff(delta(f), delta(not_(f))) for f in pool)
+    if schema == "M":
+        return tuple(
+            implies(delta(f), or_(delta(or_(f, g)), delta(or_(not_(f), h))))
+            for f in pool for g in pool for h in pool)
+    if schema == "C":
+        return tuple(
+            implies(and_(delta(f), delta(g)), delta(and_(f, g)))
+            for f in pool for g in pool)
+    if schema == "N":
+        return (delta(top()),)
+    if schema == "M'":
+        return tuple(
+            implies(delta(f), or_(delta(implies(f, g)), delta(implies(not_(f), h))))
+            for f in pool for g in pool for h in pool)
+    assert schema == "C'"
+    return tuple(
+        implies(and_(delta(implies(g, f)), delta(implies(not_(g), f))), delta(f))
+        for f in pool for g in pool)
+
+
+def _reference_almost_definability(pool):
+    return tuple((f, c, implies(nabla(c), iff(box(f), and_(delta(f), delta(implies(c, f))))))
+                 for f in pool for c in pool)
+
+
+class TestSchemaReference:
+    def test_default_pool(self):
+        assert tuple(SCHEMAS) == ("EQU", "M", "C", "N", "M'", "C'")
+        for schema in SCHEMAS:
+            assert schema_instances(schema, DEFAULT_POOL) == \
+                _reference_instances(schema, DEFAULT_POOL), schema
+        assert almost_definability_instances(DEFAULT_POOL) == \
+            _reference_almost_definability(DEFAULT_POOL)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(formulas(("p", "q"), max_depth=2, extended=True), min_size=1, max_size=3))
+    def test_random_pools(self, pool):
+        for schema in SCHEMAS:
+            assert schema_instances(schema, pool) == _reference_instances(schema, pool)
+        assert almost_definability_instances(pool) == _reference_almost_definability(pool)
+
+    def test_unknown_schema_rejected(self):
+        with pytest.raises(ValueError, match="unknown schema 'X'"):
+            schema_instances("X", DEFAULT_POOL)
 
 
 class TestSoundness:
