@@ -202,6 +202,9 @@ def _cmd_prove(args) -> int:
         _emit({"fixtures": entries}, args.json, "\n".join(lines))
         return 0 if all(entry["accepted"] for entry in entries) else 1
     if args.fixture:
+        if args.derivation is not None:
+            raise ValueError("--derivation applies only without --fixture; "
+                             "a fixture carries its own derivation")
         system, derivation = proofs.load_fixture(args.fixture)
         if args.system:
             system = args.system
@@ -223,6 +226,12 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_soundness(args) -> int:
+    if args.schema and args.system:
+        raise ValueError("--system applies only without --schema; "
+                         "a schema run scans one schema on --class")
+    if args.system and args.cls is not None:
+        raise ValueError("--class applies only without --system; "
+                         "a system run scans the system's own class")
     pool = _parse_pool(args.pool)
     names = _pool_atoms(pool, ())
     cfg = _search_config(args, names)
@@ -286,7 +295,11 @@ def _cmd_cube(args) -> int:
 
 def _cmd_lambda_eq(args) -> int:
     base = tuple(map(parse, _split_list(args.base)))
+    given = [name for name in _LAMBDA_SCAN_DEFAULTS if getattr(args, name) is not None]
     if args.model:
+        if given:
+            raise ValueError(f"--{given[0].replace('_', '-')} applies only without "
+                             "--model; a model report scans no models")
         m = _load_model(args.model)
         comparison = lambdas.compare_lambdas(
             m, lambdas.close_universe(base, args.depth))
@@ -308,12 +321,14 @@ def _cmd_lambda_eq(args) -> int:
                 print(f"state {item['state']}: equal={item['equal']} "
                       f"lambda_k={item['lambda_k']}")
         return 0 if comparison.equal else 1
-    if args.exhaustive_states == 0 and args.trials == 0:
+    scan = dict(_LAMBDA_SCAN_DEFAULTS, **{name: getattr(args, name) for name in given})
+    if scan["exhaustive_states"] == 0 and scan["trials"] == 0:
         raise ValueError("scope holds no model: --exhaustive-states and "
                          "--trials are both 0")
     report = lambdas.lambda_equality_scan(
-        base, args.depth, exhaustive_states=args.exhaustive_states,
-        random_trials=args.trials, random_states=args.max_states, seed=args.seed)
+        base, args.depth, exhaustive_states=scan["exhaustive_states"],
+        random_trials=scan["trials"], random_states=scan["max_states"],
+        seed=scan["seed"])
     _emit({"scope": report.scope, "models_checked": report.models_checked,
            "differences": len(report.differences)},
           args.json,
@@ -376,6 +391,12 @@ def _cmd_enumerate(args) -> int:
 
 # ---------------------------------------------------------------------------
 # Argument parsing.
+
+# lambda-eq's scan options and their defaults.  The options themselves
+# default to None, so that one given next to --model can be refused.
+_LAMBDA_SCAN_DEFAULTS = {"exhaustive_states": 0, "max_states": 3,
+                         "trials": 1000, "seed": DEFAULT_SEED}
+
 
 def _count(text: str) -> int:
     """The value of a count option (states, trials, limit): an int >= 0."""
@@ -462,10 +483,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--model")
     sub.add_argument("--base", default="p,q")
     sub.add_argument("--depth", type=int, default=1)
-    sub.add_argument("--exhaustive-states", type=_count, default=0)
-    sub.add_argument("--max-states", type=_count, default=3)
-    sub.add_argument("--trials", type=_count, default=1000)
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sub.add_argument("--exhaustive-states", type=_count)
+    sub.add_argument("--max-states", type=_count)
+    sub.add_argument("--trials", type=_count)
+    sub.add_argument("--seed", type=int)
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(handler=_cmd_lambda_eq)
 

@@ -307,7 +307,7 @@ def lambda_equality_scan(base: Sequence[Formula], depth: int,
                               random_sizes=(random_states,), trials=random_trials,
                               seed=seed):
         checked += 1
-        memo: dict[Formula, int] = {}
+        memo: dict[int, tuple[Formula, int]] = {}
         masks: list[int] = []
         for f, part in zip(members, parts):
             masks.append(semantics.truth_set(model, f, memo=memo) if part is None

@@ -257,6 +257,19 @@ def _validate_atoms(atoms: Iterable[str]) -> tuple[str, ...]:
     return names
 
 
+def _trusted_model(state_count: int, neighborhoods: tuple[frozenset[int], ...],
+                   valuation: dict[str, int]) -> NeighborhoodModel:
+    # Skips NeighborhoodModel.__post_init__: the generators below pass atom
+    # names already checked by _validate_atoms and masks that are in range
+    # by construction, so re-checking every generated model is pure cost.
+    model = object.__new__(NeighborhoodModel)
+    fields = model.__dict__
+    fields["state_count"] = state_count
+    fields["neighborhoods"] = neighborhoods
+    fields["valuation"] = valuation
+    return model
+
+
 def _collection_from_index(index: int, state_count: int) -> frozenset[int]:
     return frozenset(mask for mask in range(1 << state_count) if index >> mask & 1)
 
@@ -267,7 +280,12 @@ def enumerate_models(state_count: int, atoms: Iterable[str],
 
     Deterministic order: per-state collections ascend by their index in the
     powerset-of-powerset encoding, then valuations ascend atom by atom.
-    Each model appears exactly once.
+    Each model appears exactly once and owns its valuation dict.
+
+    Validation happens once per call, not per model: the state count is
+    bounds-checked and the atom names go through _validate_atoms here, and
+    every mask is in range by construction, so the models are built without
+    NeighborhoodModel's per-instance checks.
     """
     if not 1 <= state_count <= MAX_EXHAUSTIVE_STATES:
         raise BoundExceededError(
@@ -281,9 +299,11 @@ def enumerate_models(state_count: int, atoms: Iterable[str],
         coll = _collection_from_index(index, state_count)
         if all(collection_has_property(coll, p, state_count) for p in spec.required):
             admissible.append(coll)
+    valuations = [dict(zip(names, masks))
+                  for masks in product(range(1 << state_count), repeat=len(names))]
     for colls in product(admissible, repeat=state_count):
-        for masks in product(range(1 << state_count), repeat=len(names)):
-            yield NeighborhoodModel(state_count, colls, dict(zip(names, masks)))
+        for valuation in valuations:
+            yield _trusted_model(state_count, colls, valuation.copy())
 
 
 def random_model(state_count: int, atoms: Iterable[str],
@@ -293,6 +313,10 @@ def random_model(state_count: int, atoms: Iterable[str],
     Repair closes each collection under intersections, then supersets, then
     adds the full set, then closes under complements (only the closures the
     spec demands), repeating until nothing changes.  Same seed, same model.
+
+    The state count and atom names are validated here; every drawn and
+    repaired mask is in range by construction, so the model is built
+    without NeighborhoodModel's per-instance checks.
     """
     if not 1 <= state_count <= MAX_RANDOM_STATES:
         raise BoundExceededError(f"random models support 1..{MAX_RANDOM_STATES} states")
@@ -305,7 +329,7 @@ def random_model(state_count: int, atoms: Iterable[str],
         coll = frozenset(rng.randrange(subset_space) for _ in range(count))
         colls.append(_repair_collection(coll, spec, state_count))
     valuation = {name: rng.randrange(subset_space) for name in names}
-    return NeighborhoodModel(state_count, tuple(colls), valuation)
+    return _trusted_model(state_count, tuple(colls), valuation)
 
 
 def model_stream(atoms: Iterable[str], spec: FrameClassSpec,

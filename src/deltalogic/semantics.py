@@ -47,11 +47,15 @@ def noncontingent_sets(coll: frozenset[int], state_count: int) -> frozenset[int]
 
 
 def truth_set(model: NeighborhoodModel, f: Formula, extended: bool = False,
-              memo: dict[Formula, int] | None = None) -> int:
+              memo: dict[int, tuple[Formula, int]] | None = None) -> int:
     """The bitmask of states where f holds.
 
-    Results are memoized per distinct subformula, so shared subterms are
-    evaluated once; the outcome does not depend on sharing.  Callers
+    Results are memoised per subformula object, keyed by id(), so a node
+    that occurs many times in the tree (a desugared <-> holds each operand
+    twice) is evaluated once, and a lookup costs no hashing of the subtree
+    below it; the outcome does not depend on sharing.  Each
+    entry also holds its node, which keeps the node alive, so its id
+    cannot be reused by another object while the memo exists.  Callers
     evaluating many formulas on one model may pass a shared memo dict.
     """
     full = model.full_mask
@@ -61,9 +65,9 @@ def truth_set(model: NeighborhoodModel, f: Formula, extended: bool = False,
         memo = {}
 
     def walk(g: Formula) -> int:
-        cached = memo.get(g)
+        cached = memo.get(id(g))
         if cached is not None:
-            return cached
+            return cached[1]
         match g:
             case Atom(name):
                 if name == RESERVED_ATOM:
@@ -94,7 +98,7 @@ def truth_set(model: NeighborhoodModel, f: Formula, extended: bool = False,
                         value |= 1 << state
             case _:
                 raise TypeError(f"not a formula: {g!r}")
-        memo[g] = value
+        memo[id(g)] = (g, value)
         return value
 
     return walk(f)

@@ -179,6 +179,20 @@ class TestSoundness:
         assert code == 1
         assert "countermodels" in out
 
+    def test_schema_refuses_system(self):
+        # A schema run would scan --class ("all" here) and ignore K.
+        code, out, err = run("soundness", "--system", "K", "--schema", "EQU",
+                             "--max-states", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --system applies only without --schema")
+
+    def test_system_refuses_class(self):
+        # A system run would scan K's filter class and ignore --class i.
+        code, out, err = run("soundness", "--system", "K", "--class", "i",
+                             "--max-states", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --class applies only without --system")
+
 
 class TestCube:
     def test_default_run(self):
@@ -392,6 +406,56 @@ class TestCountFuzz:
         assert "Traceback" not in err
         if code == 0:
             assert not _EMPTY_REPORT.search(out), (argv, out)
+
+
+# Option combinations where one option would silently override another:
+# per combination, a strategy of (option, value) pairs (an empty pair adds
+# nothing) and the options one of which the refusal must name.
+_SYSTEMS = st.sampled_from(proofs.SYSTEM_IDS)
+_FIXTURES = st.sampled_from(proofs.fixture_names())
+_SCAN_OPTIONS = ("--exhaustive-states", "--max-states", "--trials", "--seed")
+
+
+def _pair(option, values):
+    return st.tuples(st.just(option), values)
+
+
+_CONFLICTS = {
+    "soundness --schema --system": (
+        st.tuples(_pair("--schema", st.sampled_from(sorted(proofs.SCHEMAS))),
+                  _pair("--system", _SYSTEMS), _pair("--max-states", st.just("1"))),
+        ("--system",)),
+    "soundness --system --class": (
+        st.tuples(_pair("--system", _SYSTEMS),
+                  _pair("--class", st.sampled_from(["all", "i", "filter"])),
+                  _pair("--max-states", st.just("1"))),
+        ("--class",)),
+    "prove --fixture --derivation": (
+        st.tuples(_pair("--fixture", _FIXTURES),
+                  _pair("--derivation", st.just("/nonexistent.drv")),
+                  st.just(()) | _pair("--system", _SYSTEMS)),
+        ("--derivation",)),
+    "lambda-eq --model with scan options": (
+        st.lists(st.sampled_from(_SCAN_OPTIONS), min_size=1, unique=True).flatmap(
+            lambda options: st.tuples(
+                st.just(("--model", MODEL_PATH)),
+                *(_pair(option, st.integers(0, 3).map(str)) for option in options))),
+        _SCAN_OPTIONS),
+}
+
+
+class TestConflictingOptions:
+    @pytest.mark.parametrize("conflict", sorted(_CONFLICTS))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_refused_in_any_order(self, conflict, data):
+        pairs, named = _CONFLICTS[conflict]
+        ordered = data.draw(st.permutations(data.draw(pairs)))
+        argv = [conflict.split()[0]] + [part for pair in ordered for part in pair]
+        code, out, err = run(*argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: --"), argv
+        assert err.split()[1] in named and "applies only without" in err, argv
 
 
 class TestListOptions:

@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +13,13 @@ from deltalogic.model import (
     BoundExceededError,
     FILTERS,
     FrameClassSpec,
+    NeighborhoodModel,
     QUASI_FILTERS,
+    collection_has_property,
     enumerate_models,
     has_property,
     make_model,
+    model_from_dict,
     model_from_json,
     model_stream,
     model_to_dict,
@@ -151,6 +155,66 @@ class TestEnumerate:
     def test_duplicate_atoms_rejected(self):
         with pytest.raises(ValueError):
             next(enumerate_models(1, ["p", "p"]))
+
+
+def _validated_models(state_count, atoms, spec):
+    """enumerate_models' stream, every model built by the validating constructor."""
+    subsets = range(1 << state_count)
+    collections = (frozenset(mask for mask in subsets if index >> mask & 1)
+                   for index in range(1 << len(subsets)))
+    admissible = [coll for coll in collections
+                  if all(collection_has_property(coll, p, state_count)
+                         for p in spec.required)]
+    return [NeighborhoodModel(state_count, colls, dict(zip(atoms, masks)))
+            for colls in product(admissible, repeat=state_count)
+            for masks in product(subsets, repeat=len(atoms))]
+
+
+class TestTrustedConstruction:
+    """Generated models skip per-model validation; the result must not differ."""
+
+    @pytest.mark.parametrize("text,atoms,sizes", [
+        ("filter", ("p",), (1, 2, 3)),
+        ("i,c,n", ("p",), (1, 2, 3)),
+        ("all", ("p", "q"), (1, 2)),
+    ])
+    def test_enumeration_equals_validated_construction(self, text, atoms, sizes):
+        spec = FrameClassSpec.parse(text)
+        for k in sizes:
+            stream = list(enumerate_models(k, atoms, spec))
+            assert stream == _validated_models(k, atoms, spec)
+            # Each model owns its valuation dict.
+            assert len({id(m.valuation) for m in stream}) == len(stream)
+
+    @given(st.integers(1, 5), st.integers(0, 2 ** 48),
+           st.sampled_from(["all", "i", "s", "c", "quasi-filter", "filter", "i,c,n"]))
+    @settings(max_examples=60, deadline=None)
+    def test_random_models_revalidate(self, size, seed, text):
+        m = random_model(size, ["p", "q"], FrameClassSpec.parse(text), seed=seed)
+        assert NeighborhoodModel(m.state_count, m.neighborhoods, dict(m.valuation)) == m
+
+    # Per defect: states, then neighborhoods and valuation as state index lists.
+    _BAD = {
+        "neighborhood mask out of range": (2, [[[0, 2]], []], {}),
+        "valuation mask out of range": (2, [[], []], {"p": [2]}),
+        "reserved atom": (1, [[]], {"_t": [0]}),
+        "wrong collection count": (2, [[]], {}),
+        "zero states": (0, [], {}),
+    }
+
+    @pytest.mark.parametrize("defect", sorted(_BAD))
+    @pytest.mark.parametrize("build", [
+        lambda n, colls, val: NeighborhoodModel(
+            n, tuple(frozenset(sum(1 << i for i in subset) for subset in coll)
+                     for coll in colls),
+            {name: sum(1 << i for i in states) for name, states in val.items()}),
+        make_model,
+        lambda n, colls, val: model_from_dict(
+            {"states": n, "neighborhoods": colls, "valuation": val}),
+    ], ids=["NeighborhoodModel", "make_model", "model_from_dict"])
+    def test_bad_input_still_raises(self, defect, build):
+        with pytest.raises(ValueError):
+            build(*self._BAD[defect])
 
 
 class TestRandomModel:

@@ -1,6 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_core_formula
 from strategies import formulas, models
 
 from deltalogic.formula import (
@@ -67,6 +71,34 @@ class TestTruthSet:
         assert truth_set(two_state_model, f, memo=memo) == \
             truth_set(two_state_model, f)
         assert truth_set(two_state_model, parse("D p"), memo=memo) == 0b01
+
+    @given(models(atoms=("p", "q", "r")), st.lists(st.integers(0, 2 ** 32), max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_shared_memo_over_dropped_formulas(self, m, seeds):
+        # The memo is keyed by node identity.  Every formula here is built
+        # for one call and dropped after it, so its nodes' addresses get
+        # reused by the next formula's nodes; the memo must pin its nodes
+        # so that no stale entry answers for a new node.
+        memo = {}
+        for seed in seeds:
+            expected = truth_set(m, random_core_formula(random.Random(seed), 5))
+            assert truth_set(m, random_core_formula(random.Random(seed), 5),
+                             memo=memo) == expected
+
+    @given(models(atoms=("p", "q")))
+    @settings(max_examples=25, deadline=None)
+    def test_long_iff_chain_is_linear(self, m):
+        # q <-> (q <-> (... <-> p)): each iff holds its operands twice, so
+        # the tree doubles per level while the object graph grows by a few
+        # nodes.  Two levels cancel, so 40 levels are p and 41 are q <-> p.
+        p, q = atom("p"), atom("q")
+        chain = p
+        for level in range(1, 42):
+            chain = iff(q, chain)
+            if level >= 40:
+                expected = m.valuation["p"] if level % 2 == 0 else (
+                    m.full_mask ^ m.valuation["p"] ^ m.valuation["q"])
+                assert truth_set(m, chain) == expected
 
 
 class TestNoncontingentSets:
