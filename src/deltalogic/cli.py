@@ -25,6 +25,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import cache
 from typing import Sequence
 
 from . import lambdas, model, proofs, search, semantics
@@ -118,8 +119,13 @@ def _cmd_check(args) -> int:
     m = _load_model(args.model)
     f = parse(args.formula, "extended" if args.extended else "core")
     value = semantics.holds_at(m, args.state, f, extended=args.extended)
-    _emit({"formula": render(f), "state": args.state, "holds": value},
-          args.json, "true" if value else "false")
+    # Rendered only for the JSON payload: a desugared `<->` chain renders
+    # exponentially long.
+    if args.json:
+        print(json.dumps({"formula": render(f), "state": args.state, "holds": value},
+                         sort_keys=True))
+    else:
+        print("true" if value else "false")
     return 0
 
 
@@ -128,14 +134,14 @@ def _cmd_validity(args) -> int:
     f = parse(args.formula, "extended" if args.extended else "core")
     names = _pool_atoms((f,), _split_list(args.atoms))
     verdict = search.check_validity(f, spec, _search_config(args, names))
-    data = _verdict_data(f, spec, verdict)
-    if isinstance(verdict, search.Valid):
-        _emit(data, args.json, f"valid ({verdict.scope}, {verdict.models_checked} models)")
-        return 0
-    _emit(data, args.json,
-          "countermodel at state "
-          f"{verdict.state}: {model_to_json(verdict.model)}")
-    return 1
+    valid = isinstance(verdict, search.Valid)
+    if args.json:
+        print(json.dumps(_verdict_data(f, spec, verdict), sort_keys=True))
+    elif valid:
+        print(f"valid ({verdict.scope}, {verdict.models_checked} models)")
+    else:
+        print(f"countermodel at state {verdict.state}: {model_to_json(verdict.model)}")
+    return 0 if valid else 1
 
 
 def _cmd_props(args) -> int:
@@ -190,6 +196,10 @@ def _supplement_sweep(args) -> int:
 
 def _cmd_prove(args) -> int:
     if args.all_fixtures:
+        for option in ("fixture", "derivation", "system"):
+            if getattr(args, option) is not None:
+                raise ValueError(f"--{option} applies only without --all-fixtures; "
+                                 "every fixture is checked in its own system")
         entries, lines = [], []
         for name in proofs.fixture_names():
             system, derivation = proofs.load_fixture(name)
@@ -518,8 +528,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser: built on first use, not at import, then kept for the
+# process, since building it costs more than most calls' parsing.
+_parser = cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -20,6 +20,7 @@ import json
 import random
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Mapping
 
@@ -223,9 +224,33 @@ def supplementation(model: NeighborhoodModel) -> NeighborhoodModel:
 
 def _repair_collection(coll: frozenset[int], spec: FrameClassSpec,
                        state_count: int) -> frozenset[int]:
-    # Fixed closure order keeps repair deterministic; the loop reruns the
-    # sequence because the complement closure can break i and s again.
-    required = spec.required
+    """The least collection containing coll that has every property of spec.
+
+    Closures run in the fixed order i, s, n, c.  Without c one pass reaches
+    the fixpoint: the superset closure of an intersection-closed collection
+    is intersection-closed, and adding the full set keeps both closures.
+    With c the pass repeats until nothing changes, because the complements
+    can break i and s again.  The result is a pure function of its
+    arguments, so it is memoised (see _REPAIR_CACHE_SIZE); with no required
+    property repair is the identity and bypasses the memo.
+    """
+    if not spec.required:
+        return coll
+    return _closure(coll, spec.required, state_count)
+
+
+# Repaired collections are memoised per (collection, properties, state
+# count).  A random draw at |S|=4 is one of 697 collections of at most three
+# masks.  In a 12 s sound-random benchmark run (716,400 repairs, 5,526
+# distinct keys) the memo answered 88% of repairs with 1,024 entries and
+# 89% with 2,048; unbounded it answered 99%, but peak memory rose from
+# 24.7 MB to 28.9 MB, against 25.3 MB with no memo.
+_REPAIR_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_REPAIR_CACHE_SIZE)
+def _closure(coll: frozenset[int], required: frozenset[str],
+             state_count: int) -> frozenset[int]:
     while True:
         before = coll
         if "i" in required:
@@ -234,8 +259,9 @@ def _repair_collection(coll: frozenset[int], spec: FrameClassSpec,
             coll = _close_supersets(coll, state_count)
         if "n" in required:
             coll = _with_unit(coll, state_count)
-        if "c" in required:
-            coll = _close_complements(coll, state_count)
+        if "c" not in required:
+            return coll
+        coll = _close_complements(coll, state_count)
         if coll == before:
             return coll
 
@@ -310,9 +336,10 @@ def random_model(state_count: int, atoms: Iterable[str],
                  spec: FrameClassSpec = ALL_FRAMES, seed: int = 0) -> NeighborhoodModel:
     """Sample a pseudo-random model and repair it into spec's class.
 
-    Repair closes each collection under intersections, then supersets, then
-    adds the full set, then closes under complements (only the closures the
-    spec demands), repeating until nothing changes.  Same seed, same model.
+    Per state, up to three masks are drawn; then one mask per atom for the
+    valuation.  Each drawn collection is repaired by _repair_collection
+    into the least collection above it with spec's properties.  Repair
+    draws nothing, so same seed, same model.
 
     The state count and atom names are validated here; every drawn and
     repaired mask is in range by construction, so the model is built

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -279,6 +282,13 @@ class TestDeepNesting:
             code, out, _ = run("check", "--model", MODEL_PATH, "--formula", formula)
             assert (code, out) == (0, value + "\n")
 
+    def test_long_iff_chain_answers_without_rendering(self):
+        # q <-> (q <-> X) is X, so 24 levels over p read p: true at state 0.
+        # Rendered, the desugared chain doubles in length per level.
+        formula = "q <-> (" * 24 + "p" + ")" * 24
+        code, out, _ = run("check", "--model", MODEL_PATH, "--formula", formula)
+        assert (code, out) == (0, "true\n")
+
 
 class TestExperiments:
     def test_schema_exp(self):
@@ -435,6 +445,14 @@ _CONFLICTS = {
                   _pair("--derivation", st.just("/nonexistent.drv")),
                   st.just(()) | _pair("--system", _SYSTEMS)),
         ("--derivation",)),
+    "prove --all-fixtures with a single-derivation option": (
+        st.lists(st.sampled_from(("--fixture", "--derivation", "--system")),
+                 min_size=1, unique=True).flatmap(
+            lambda options: st.tuples(
+                st.just(("--all-fixtures",)),
+                *(_pair(option, {"--fixture": _FIXTURES, "--system": _SYSTEMS}.get(
+                    option, st.just("/nonexistent.drv"))) for option in options))),
+        ("--fixture", "--derivation", "--system")),
     "lambda-eq --model with scan options": (
         st.lists(st.sampled_from(_SCAN_OPTIONS), min_size=1, unique=True).flatmap(
             lambda options: st.tuples(
@@ -456,6 +474,45 @@ class TestConflictingOptions:
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: --"), argv
         assert err.split()[1] in named and "applies only without" in err, argv
+
+
+class TestParserReuse:
+    # One call per subcommand, with argparse errors (exit 2) in between.
+    ARGVS = (
+        ("check", "--model", MODEL_PATH, "--formula", "D p", "--json"),
+        ("validity", "--formula", "D p -> D !p", "--max-states", "2"),
+        ("validity",),
+        ("props", "--model", MODEL_PATH),
+        ("supplement", "--model", MODEL_PATH),
+        ("supplement", "--check", "--trials", "5"),
+        ("soundness", "--mode", "sideways"),
+        ("prove", "--fixture", "n_top", "--system", "E"),
+        ("prove", "--all-fixtures", "--json"),
+        ("soundness", "--system", "K", "--max-states", "1", "--json"),
+        ("cube", "--max-states", "1", "--trials", "10", "--random-max-states", "2"),
+        ("lambda-eq", "--trials", "5", "--max-states", "2"),
+        ("enumerate", "--states", "-1x"),
+        ("schema-exp", "--class", "filter", "--max-states", "1"),
+        ("monotone-exp", "--trials", "5"),
+        ("enumerate", "--states", "1", "--atoms", "p", "--count"),
+    )
+
+    def test_repeated_calls_in_one_process_agree(self):
+        first = [run(*argv) for argv in self.ARGVS]
+        assert {argv[0] for argv in self.ARGVS} == set(
+            cli._parser()._subparsers._group_actions[0].choices)
+        assert 2 in {code for code, _, _ in first}
+        assert [run(*argv) for argv in self.ARGVS] == first
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._parser() is cli._parser()
+
+    def test_parser_not_built_at_import(self):
+        code = ("from deltalogic import cli; "
+                "assert cli._parser.cache_info().currsize == 0")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestListOptions:

@@ -1,6 +1,6 @@
 import json
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 
 from strategies import models
 
+from deltalogic import proofs
 from deltalogic.model import (
     ALL_FRAMES,
     BoundExceededError,
     FILTERS,
     FrameClassSpec,
     NeighborhoodModel,
+    PROPERTY_LETTERS,
     QUASI_FILTERS,
+    _repair_collection,
     collection_has_property,
     enumerate_models,
     has_property,
@@ -239,6 +242,97 @@ class TestRandomModel:
     def test_bound(self):
         with pytest.raises(BoundExceededError):
             random_model(17, [], ALL_FRAMES, seed=0)
+
+
+def _closed(coll, step):
+    """The least superset of coll that step maps to itself."""
+    while True:
+        grown = step(coll)
+        if grown == coll:
+            return coll
+        coll = grown
+
+
+def _reference_repair(coll, spec, state_count):
+    """Repair as a plain fixpoint loop: every closure spec demands, in the
+    order i, s, n, c, rerun until a whole pass changes nothing."""
+    full = (1 << state_count) - 1
+    closures = {
+        "i": lambda c: _closed(c, lambda c: c | {x & y for x in c for y in c}),
+        "s": lambda c: _closed(c, lambda c: c | {x | 1 << b for x in c
+                                                 for b in range(state_count)}),
+        "n": lambda c: c | {full},
+        "c": lambda c: c | {full ^ x for x in c},
+    }
+    while True:
+        before = coll
+        for prop in "isnc":
+            if prop in spec.required:
+                coll = closures[prop](coll)
+        if coll == before:
+            return coll
+
+
+def _reference_random_model(state_count, atoms, spec, seed):
+    """random_model's draws, repaired by _reference_repair."""
+    rng = random.Random(seed)
+    subset_space = 1 << state_count
+    colls = []
+    for _ in range(state_count):
+        count = rng.randint(0, 3)
+        coll = frozenset(rng.randrange(subset_space) for _ in range(count))
+        colls.append(_reference_repair(coll, spec, state_count))
+    valuation = {name: rng.randrange(subset_space) for name in atoms}
+    return NeighborhoodModel(state_count, tuple(colls), valuation)
+
+
+_PROPERTY_SUBSETS = [frozenset(letters) for r in range(len(PROPERTY_LETTERS) + 1)
+                     for letters in combinations(PROPERTY_LETTERS, r)]
+
+
+@st.composite
+def _collections(draw):
+    state_count = draw(st.integers(1, 5))
+    masks = st.integers(0, (1 << state_count) - 1)
+    size = draw(st.sampled_from((3, 1 << state_count)))
+    return frozenset(draw(st.lists(masks, max_size=size))), state_count
+
+
+class TestRepair:
+    """One pass without c, the fixpoint loop with it, memoised: repair must
+    still equal the plain fixpoint loop, and random_model its draws."""
+
+    @pytest.mark.parametrize("required", _PROPERTY_SUBSETS,
+                             ids=lambda r: ",".join(sorted(r)) or "none")
+    @given(_collections())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_fixpoint_loop(self, required, drawn):
+        coll, state_count = drawn
+        spec = FrameClassSpec(required)
+        expected = _reference_repair(coll, spec, state_count)
+        for _ in range(2):  # the second call reads the memo
+            repaired = _repair_collection(coll, spec, state_count)
+            assert repaired == expected
+        assert all(collection_has_property(repaired, p, state_count) for p in required)
+
+    # The eight system classes; they include s, n and i,c, the classes of
+    # the benchmark's refutation scans.
+    @pytest.mark.parametrize("text", sorted(
+        {proofs.system_class(system).name() for system in proofs.SYSTEM_IDS}))
+    def test_random_models_equal_reference(self, text):
+        spec = FrameClassSpec.parse(text)
+        for state_count, seed in product((3, 4), range(40)):
+            assert (random_model(state_count, ["p", "q"], spec, seed=seed)
+                    == _reference_random_model(state_count, ("p", "q"), spec, seed))
+
+    def test_large_quasi_filters(self):
+        for seed in range(3):
+            assert (random_model(10, ["p"], QUASI_FILTERS, seed=seed)
+                    == _reference_random_model(10, ("p",), QUASI_FILTERS, seed))
+        # A fixpoint loop re-closes the superset-closed collection under
+        # intersections, quadratic in its size: minutes at 14 states.
+        for seed in range(3):
+            assert has_property(random_model(14, ["p"], QUASI_FILTERS, seed=seed), "s")
 
 
 class TestModelStream:
