@@ -150,10 +150,19 @@ BOT = bot()
 # Structural helpers.
 
 def iter_subformulas(f: Formula) -> Iterator[Formula]:
-    """Yield f and every subformula, parents before children."""
+    """Yield f and every subformula, parents before children.
+
+    Each node object is yielded once, so a subformula shared in the DAG (a
+    desugared <-> holds each operand twice) is walked once, not once per
+    path to it; f keeps every node alive while the walk runs.
+    """
     stack = [f]
+    seen: set[int] = set()
     while stack:
         g = stack.pop()
+        if id(g) in seen:
+            continue
+        seen.add(id(g))
         yield g
         match g:
             case Not(child) | Delta(child) | Box(child):

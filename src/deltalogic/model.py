@@ -38,6 +38,13 @@ class BoundExceededError(Exception):
     """A requested search or enumeration exceeds the supported bounds."""
 
 
+def _check_atom_name(name: str) -> None:
+    if name == RESERVED_ATOM:
+        raise ValueError(f"atom {RESERVED_ATOM!r} is reserved")
+    if not _ATOM_NAME_RE.match(name):
+        raise ValueError(f"invalid atom name {name!r}")
+
+
 def subset_mask(indices: Iterable[int], state_count: int) -> int:
     mask = 0
     for i in indices:
@@ -75,10 +82,7 @@ class NeighborhoodModel:
                 if not 0 <= mask <= full:
                     raise ValueError(f"neighborhood mask {mask} out of range")
         for name, mask in self.valuation.items():
-            if name == RESERVED_ATOM:
-                raise ValueError(f"atom {RESERVED_ATOM!r} is reserved")
-            if not _ATOM_NAME_RE.match(name):
-                raise ValueError(f"invalid atom name {name!r}")
+            _check_atom_name(name)
             if not 0 <= mask <= full:
                 raise ValueError(f"valuation mask for {name!r} out of range")
 
@@ -273,10 +277,7 @@ def _validate_atoms(atoms: Iterable[str]) -> tuple[str, ...]:
     names = tuple(atoms)
     seen = set()
     for name in names:
-        if name == RESERVED_ATOM:
-            raise ValueError(f"atom {RESERVED_ATOM!r} is reserved")
-        if not _ATOM_NAME_RE.match(name):
-            raise ValueError(f"invalid atom name {name!r}")
+        _check_atom_name(name)
         if name in seen:
             raise ValueError(f"duplicate atom {name!r}")
         seen.add(name)
@@ -400,15 +401,46 @@ def model_to_dict(model: NeighborhoodModel) -> dict:
     }
 
 
+def _json_int(value) -> bool:
+    # JSON true and false load as bools, which are ints in Python.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _json_subsets(value) -> bool:
+    """Whether value is a JSON list of state index lists."""
+    return isinstance(value, list) and all(
+        isinstance(subset, list) and all(map(_json_int, subset)) for subset in value)
+
+
 def model_from_dict(data: dict) -> NeighborhoodModel:
+    """The model of a JSON object as model_to_dict writes it.
+
+    The JSON shapes are checked before the model is built, so a malformed
+    object raises ValueError, never TypeError; a bool is not an integer.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("malformed model object: not a JSON object")
     try:
         state_count = data["states"]
         raw_neighborhoods = data["neighborhoods"]
-        raw_valuation = data.get("valuation", {})
-    except (TypeError, KeyError) as exc:
+    except KeyError as exc:
         raise ValueError(f"malformed model object: missing {exc}") from None
-    if not isinstance(state_count, int):
-        raise ValueError("'states' must be an integer")
+    raw_valuation = data.get("valuation", {})
+    if not _json_int(state_count):
+        raise ValueError("malformed model object: 'states' must be an integer")
+    if not (isinstance(raw_neighborhoods, list)
+            and all(map(_json_subsets, raw_neighborhoods))):
+        raise ValueError("malformed model object: 'neighborhoods' must be "
+                         "a list of lists of state index lists")
+    if len(raw_neighborhoods) != state_count:
+        # Checked before any mask is built: an index below a huge stated
+        # count would otherwise build a huge int.
+        raise ValueError("one neighborhood collection per state required")
+    if raw_valuation is not None and not (
+            isinstance(raw_valuation, dict)
+            and _json_subsets(list(raw_valuation.values()))):
+        raise ValueError("malformed model object: 'valuation' must map atom "
+                         "names to state index lists")
     return make_model(state_count, raw_neighborhoods, raw_valuation)
 
 

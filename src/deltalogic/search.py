@@ -41,7 +41,7 @@ from .formula import (
     or_,
     RESERVED_ATOM,
 )
-from .lambdas import Universe, build_theory
+from .lambdas import Universe
 from .model import ALL_FRAMES, FrameClassSpec, NeighborhoodModel, model_stream
 from .model import random_model  # noqa: F401  (benchmarks/selftest.py traces this binding)
 from .proofs import SCHEMAS, SYSTEM_AXIOMS, system_axioms, system_class
@@ -186,6 +186,10 @@ class _Program:
 def _compile(formulas: Sequence[Formula]) -> _Program:
     index: dict = {}
     nodes: list[tuple] = []
+    # id(node) -> node index, so a node object shared in the formula DAG (a
+    # desugared <-> holds each operand twice) is walked once; the formulas
+    # keep every node alive for the whole call.
+    walked: dict[int, int] = {}
 
     def emit(key: tuple) -> int:
         idx = index.get(key)
@@ -196,6 +200,12 @@ def _compile(formulas: Sequence[Formula]) -> _Program:
         return idx
 
     def walk(f: Formula) -> int:
+        idx = walked.get(id(f))
+        if idx is None:
+            idx = walked[id(f)] = emit_node(f)
+        return idx
+
+    def emit_node(f: Formula) -> int:
         match f:
             case Atom(name):
                 return emit((_ATOM, name, 0))
@@ -553,31 +563,28 @@ class MonotonicityReport:
 
 
 def _selection_masks(model: NeighborhoodModel, state: int,
-                     universe: Universe) -> tuple[dict[int, Formula], list[int]]:
+                     members: Sequence[Formula], masks: Sequence[int]
+                     ) -> dict[int, Formula]:
     """The almost-definability style selection at a state.
 
-    A member's truth set qualifies when some member c is contingent here
-    while both the member and c -> member are noncontingent.  Returns the
-    qualifying truth sets (with one qualifying member each) and the member
-    truth sets in member order.
+    masks are the members' truth sets.  A member truth set qualifies when
+    it is noncontingent here and some member g is contingent here while
+    g -> member is noncontingent; all three are lookups in the state's D
+    table.  Returns the qualifying truth sets in first-occurrence order,
+    each with the first such g in member order.
     """
-    theory = build_theory(model, state, universe)
-    member_masks = [theory.truth_mask(m) for m in universe.members]
+    table = semantics.noncontingent_sets(model.neighborhoods[state],
+                                         model.state_count)
+    contingent = [(g, model.full_mask ^ g_mask)
+                  for g, g_mask in zip(members, masks) if g_mask not in table]
     qualifying: dict[int, Formula] = {}
-    full = model.full_mask
-    for i, f in enumerate(universe.members):
-        mask = member_masks[i]
-        if mask in qualifying or not theory.delta_true_of_mask(mask):
-            continue
-        for j, g in enumerate(universe.members):
-            g_mask = member_masks[j]
-            if theory.delta_true_of_mask(g_mask):
-                continue  # g must be contingent here
-            imp_mask = (full ^ g_mask) | mask  # truth set of g -> f
-            if theory.delta_true_of_mask(imp_mask):
+    for mask in dict.fromkeys(masks):
+        if mask in table:
+            # (full ^ g_mask) | mask is the truth set of g -> member.
+            g = next((g for g, not_g in contingent if not_g | mask in table), None)
+            if g is not None:
                 qualifying[mask] = g
-                break
-    return qualifying, member_masks
+    return qualifying
 
 
 def almost_monotonicity_experiment(universe: Universe, cfg: SearchConfig
@@ -586,35 +593,30 @@ def almost_monotonicity_experiment(universe: Universe, cfg: SearchConfig
 
     For sampled models, searches for members a, b with the truth set of a
     selected, truth set of a contained in that of b, but the truth set of b
-    not selected.  Violations are re-verified by direct evaluation.  With no
-    violation found the report says inconclusive rather than failing.
+    not selected.  Member truth sets are evaluated once per model.
+    Violations are re-verified by direct evaluation.  With no violation
+    found the report says inconclusive rather than failing.
     """
-    names = sorted({name for member in universe.members
+    members = universe.members
+    names = sorted({name for member in members
                     for name in atoms_of(member)} - {RESERVED_ATOM})
     violations: list[MonotonicityViolation] = []
     checked = 0
     for model in model_stream(names, ALL_FRAMES, random_sizes=(cfg.max_states,),
                               trials=cfg.trials, seed=cfg.seed):
         checked += 1
+        memo: dict = {}
+        masks = [semantics.truth_set(model, f, memo=memo) for f in members]
+        pairs = list(zip(members, masks))
         for state in model.states():
-            qualifying, member_masks = _selection_masks(model, state, universe)
-            if not qualifying:
-                continue
-            selected = set(qualifying)
-            violation = None
-            for i, phi in enumerate(universe.members):
-                phi_mask = member_masks[i]
-                if phi_mask not in selected:
-                    continue
-                for j, psi in enumerate(universe.members):
-                    psi_mask = member_masks[j]
-                    if phi_mask | psi_mask == psi_mask and psi_mask not in selected:
-                        violation = MonotonicityViolation(
-                            model, state, phi, psi, qualifying[phi_mask])
-                        break
-                if violation:
-                    break
-            if violation:
+            qualifying = _selection_masks(model, state, members, masks)
+            hit = next(((phi, psi, qualifying[phi_mask])
+                        for phi, phi_mask in pairs if phi_mask in qualifying
+                        for psi, psi_mask in pairs
+                        if phi_mask | psi_mask == psi_mask
+                        and psi_mask not in qualifying), None)
+            if hit:
+                violation = MonotonicityViolation(model, state, *hit)
                 _verify_violation(violation, universe)
                 violations.append(violation)
                 break

@@ -5,6 +5,8 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -288,6 +290,138 @@ class TestDeepNesting:
         formula = "q <-> (" * 24 + "p" + ")" * 24
         code, out, _ = run("check", "--model", MODEL_PATH, "--formula", formula)
         assert (code, out) == (0, "true\n")
+
+
+    def test_validity_on_long_iff_chain_answers(self):
+        # Each level shares its operands; walked as a tree, 24 levels are
+        # 2**24 paths.  q <-> (q <-> X) is X, so the chain reads p.
+        formula = "q <-> (" * 24 + "p" + ")" * 24
+        start = time.perf_counter()
+        code, out, _ = run("validity", "--formula", formula, "--max-states", "2")
+        assert time.perf_counter() - start < 2
+        assert code == 1
+        assert out.startswith("countermodel at state ")
+
+    def test_soundness_on_long_iff_chain_pool_answers(self):
+        formula = "q <-> (" * 20 + "p" + ")" * 20
+        start = time.perf_counter()
+        code, out, _ = run("soundness", "--schema", "EQU", "--pool", formula,
+                           "--max-states", "1")
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        assert "EQU" in out
+
+
+# Model JSON documents that are not of model_to_dict's shape.  Each must exit
+# 2 with a message from every command that reads --model.
+_MALFORMED_MODELS = {
+    "collection not a list": {"states": 2, "neighborhoods": [[[0]], 5]},
+    "valuation a list": {"states": 1, "neighborhoods": [[]], "valuation": [1]},
+    "subset a string": {"states": 2, "neighborhoods": [["ab"], []]},
+    "float index": {"states": 2, "neighborhoods": [[[0.5]], []]},
+    "valuation not a list": {"states": 1, "neighborhoods": [[]],
+                             "valuation": {"p": 3}},
+    "null neighborhoods": {"states": 1, "neighborhoods": None},
+    "bool state count": {"states": True, "neighborhoods": [[]]},
+    "bool state index": {"states": 2, "neighborhoods": [[[True]], []]},
+    "bool valuation index": {"states": 1, "neighborhoods": [[]],
+                             "valuation": {"p": [True]}},
+    "not an object": [1, 2],
+}
+
+_MODEL_COMMANDS = {
+    "check": ("check", "--formula", "p"),
+    "props": ("props",),
+    "supplement": ("supplement",),
+    "lambda-eq": ("lambda-eq",),
+}
+
+
+def _run_on_model(tmp_dir, command, document):
+    path = Path(tmp_dir) / "model.json"
+    path.write_text(json.dumps(document))
+    return run(*_MODEL_COMMANDS[command], "--model", str(path))
+
+
+def _well_shaped(document):
+    """Whether a loaded JSON value has model_to_dict's shape."""
+    def is_int(value):
+        return type(value) is int
+
+    def subsets(value):
+        return isinstance(value, list) and all(
+            isinstance(subset, list) and all(map(is_int, subset)) for subset in value)
+
+    if not (isinstance(document, dict) and "states" in document
+            and "neighborhoods" in document):
+        return False
+    valuation = document.get("valuation")
+    return (is_int(document["states"])
+            and isinstance(document["neighborhoods"], list)
+            and all(map(subsets, document["neighborhoods"]))
+            and (valuation is None or isinstance(valuation, dict)
+                 and subsets(list(valuation.values()))))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=6)
+
+_VALID_MODEL = {"states": 2, "neighborhoods": [[[0]], [[], [0, 1]]],
+                "valuation": {"p": [0], "q": [1]}}
+# Places in _VALID_MODEL that the fuzz overwrites or deletes.
+_MODEL_PATHS = ((), ("states",), ("neighborhoods",), ("neighborhoods", 1),
+                ("neighborhoods", 1, 1), ("neighborhoods", 1, 1, 0),
+                ("valuation",), ("valuation", "p"), ("valuation", "p", 0))
+_DELETE = object()
+
+
+def _replaced(path, value):
+    if not path:
+        return value
+    document = json.loads(json.dumps(_VALID_MODEL))
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return document
+
+
+class TestModelJson:
+    @pytest.mark.parametrize("command", sorted(_MODEL_COMMANDS))
+    @pytest.mark.parametrize("defect", sorted(_MALFORMED_MODELS))
+    def test_malformed_model_is_input_error(self, tmp_path, command, defect):
+        code, out, err = _run_on_model(tmp_path, command, _MALFORMED_MODELS[defect])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: malformed model object: ")
+
+    @pytest.mark.parametrize("command", sorted(_MODEL_COMMANDS))
+    def test_state_count_checked_before_masks_are_built(self, tmp_path, command):
+        # Read as given, the index would become a 2**40-bit mask.
+        document = {"states": 2 ** 41, "neighborhoods": [[[2 ** 40]]]}
+        code, _, err = _run_on_model(tmp_path, command, document)
+        assert code == 2
+        assert err == "error: one neighborhood collection per state required\n"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(_MODEL_PATHS),
+           _JSON | st.just(_DELETE), st.sampled_from(sorted(_MODEL_COMMANDS)))
+    def test_fuzzed_model_never_crashes(self, path, value, command):
+        document = _replaced(path, value)
+        if document is _DELETE:
+            return
+        with tempfile.TemporaryDirectory() as tmp_dir:
+            code, _, err = _run_on_model(tmp_dir, command, document)
+        assert code in (0, 1, 2), (document, code)
+        if not _well_shaped(document):
+            assert code == 2, document
+            assert err.startswith("error: "), (document, err)
 
 
 class TestExperiments:

@@ -24,6 +24,7 @@ from deltalogic.formula import (
     iff,
     implies,
     is_tautology,
+    iter_subformulas,
     nabla,
     not_,
     or_,
@@ -291,6 +292,49 @@ class TestIsTautology:
 def test_atoms_of_includes_reserved():
     assert atoms_of(top()) == {"_t"}
     assert atoms_of(parse("D p & q")) == {"p", "q"}
+
+
+def _tree_walk(f):
+    """Every path's node, shared objects once per path (the plain tree)."""
+    yield f
+    for child in (f.child,) if isinstance(f, (Not, Delta, Box)) else (
+            (f.left, f.right) if isinstance(f, And) else ()):
+        yield from _tree_walk(child)
+
+
+# Formulas built by iff, or_ and implies hold their operands more than once,
+# so these are DAGs with shared node objects.
+_SHARED = st.recursive(
+    formulas(max_depth=2),
+    lambda children: st.one_of(
+        st.tuples(children, children).map(lambda t: iff(*t)),
+        st.tuples(children, children).map(lambda t: or_(*t)),
+        st.tuples(children, children).map(lambda t: implies(*t)),
+        children.map(delta)),
+    max_leaves=6)
+
+
+class TestIterSubformulas:
+    @given(_SHARED)
+    @settings(max_examples=150, deadline=None)
+    def test_each_object_once_same_subformulas(self, f):
+        walked = list(iter_subformulas(f))
+        ids = [id(g) for g in walked]
+        assert len(ids) == len(set(ids))
+        tree = list(_tree_walk(f))
+        assert set(ids) == {id(g) for g in tree}
+        assert set(walked) == set(tree)
+        assert walked[0] is f
+
+    def test_iff_chain_walks_its_object_graph(self):
+        # 40 levels of q <-> (...) hold 2**40 tree paths, but each level adds
+        # 8 node objects: a fresh q, two Ands, three Nots and the top And.
+        chain = atom("p")
+        for _ in range(40):
+            chain = iff(atom("q"), chain)
+        count = sum(1 for _ in iter_subformulas(chain))
+        assert count == 8 * 40 + 1
+        assert atoms_of(chain) == {"p", "q"}
 
 
 def test_nabla_constructor_matches_parser():

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from strategies import formulas, models
 
-from deltalogic.formula import (BoxNotAllowedError, and_, atom, box, delta, iff, implies,
-                                 nabla, not_, or_, parse, top)
-from deltalogic.lambdas import close_universe
+from deltalogic.formula import (RESERVED_ATOM, BoxNotAllowedError, and_, atom, atoms_of,
+                                 box, delta, iff, implies, nabla, not_, or_, parse, top)
+from deltalogic.lambdas import build_theory, close_universe
 from deltalogic.model import (
     ALL_FRAMES,
     FrameClassSpec,
@@ -16,11 +16,14 @@ from deltalogic.model import (
     QUASI_FILTERS,
     enumerate_models,
     make_model,
+    model_stream,
 )
 from deltalogic.proofs import SCHEMAS, SYSTEM_IDS, match_schema, system_axioms, system_class
 from deltalogic.search import (
     Countermodel,
     DEFAULT_POOL,
+    MonotonicityReport,
+    MonotonicityViolation,
     SearchConfig,
     Valid,
     almost_definability_instances,
@@ -620,18 +623,82 @@ class TestSchemaExperiment:
             schema_validity_experiment(QUASI_FILTERS, cfg, pool)
 
 
+def _reference_selection_masks(model, state, universe):
+    """The TheorySet-based selection, as it stood before the D-table scan."""
+    theory = build_theory(model, state, universe)
+    member_masks = [theory.truth_mask(m) for m in universe.members]
+    qualifying = {}
+    full = model.full_mask
+    for i, f in enumerate(universe.members):
+        mask = member_masks[i]
+        if mask in qualifying or not theory.delta_true_of_mask(mask):
+            continue
+        for j, g in enumerate(universe.members):
+            g_mask = member_masks[j]
+            if theory.delta_true_of_mask(g_mask):
+                continue
+            if theory.delta_true_of_mask((full ^ g_mask) | mask):
+                qualifying[mask] = g
+                break
+    return qualifying, member_masks
+
+
+def _reference_experiment(universe, cfg):
+    """The per-state TheorySet experiment loop, without re-verification."""
+    names = sorted({name for member in universe.members
+                    for name in atoms_of(member)} - {RESERVED_ATOM})
+    violations = []
+    checked = 0
+    for model in model_stream(names, ALL_FRAMES, random_sizes=(cfg.max_states,),
+                              trials=cfg.trials, seed=cfg.seed):
+        checked += 1
+        for state in model.states():
+            qualifying, member_masks = _reference_selection_masks(model, state, universe)
+            if not qualifying:
+                continue
+            selected = set(qualifying)
+            violation = None
+            for i, phi in enumerate(universe.members):
+                phi_mask = member_masks[i]
+                if phi_mask not in selected:
+                    continue
+                for j, psi in enumerate(universe.members):
+                    psi_mask = member_masks[j]
+                    if phi_mask | psi_mask == psi_mask and psi_mask not in selected:
+                        violation = MonotonicityViolation(
+                            model, state, phi, psi, qualifying[phi_mask])
+                        break
+                if violation:
+                    break
+            if violation:
+                violations.append(violation)
+                break
+    return MonotonicityReport(checked, tuple(violations), not violations)
+
+
+def _select(model, state, universe):
+    masks = [truth_set(model, f) for f in universe.members]
+    return _selection_masks(model, state, universe.members, masks), masks
+
+
+_SELECTION_BASE = st.lists(
+    st.sampled_from([parse(text) for text in
+                     ("p", "q", "D p", "p & q", "!p", "D (p & q)", "p -> q")]),
+    min_size=1, max_size=3)
+
+
 class TestAlmostMonotonicity:
     def test_full_powerset_yields_empty_selection(self):
         subsets = [[], [0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2]]
         m = make_model(3, [subsets] * 3, {"p": [0], "q": [1, 2]})
         universe = close_universe((atom("p"), atom("q")), 1)
-        qualifying, _ = _selection_masks(m, 0, universe)
+        qualifying, _ = _select(m, 0, universe)
         assert qualifying == {}
 
     def test_empty_collections_yield_empty_selection(self):
         m = make_model(3, [[], [], []], {"p": [0], "q": [1, 2]})
         universe = close_universe((atom("p"), atom("q")), 1)
-        qualifying, _ = _selection_masks(m, 0, universe)
+        qualifying, _ = _select(m, 0, universe)
         assert qualifying == {}
 
     def test_constructed_violation(self):
@@ -639,9 +706,36 @@ class TestAlmostMonotonicity:
         # yet the superset truth set of p | q itself does not qualify.
         m = make_model(3, [[[0]]] * 3, {"p": [0], "q": [1, 2]})
         universe = close_universe((atom("p"), atom("q")), 1)
-        qualifying, masks = _selection_masks(m, 0, universe)
+        qualifying, masks = _select(m, 0, universe)
         assert 0b001 in qualifying
         assert 0b111 not in qualifying
+
+    @given(models(max_states=4), _SELECTION_BASE, st.sampled_from([1, 2]))
+    @settings(max_examples=150, deadline=None)
+    def test_selection_equals_theory_set_reference(self, m, base, depth):
+        universe = close_universe(base, depth)
+        for state in m.states():
+            qualifying, masks = _select(m, state, universe)
+            expected, expected_masks = _reference_selection_masks(m, state, universe)
+            assert masks == expected_masks
+            # Insertion order is the selection's order: compare item lists.
+            assert list(qualifying.items()) == list(expected.items())
+
+    @pytest.mark.parametrize("base, depth, cfg", [
+        # The CLI default, which is also acceptance criterion 8's run.
+        ("p,q", 1, SearchConfig(mode="random", max_states=3, trials=1000, seed=17)),
+        ("p,q", 2, SearchConfig(mode="random", max_states=3, trials=200, seed=17)),
+        ("p,q", 1, SearchConfig(mode="random", max_states=4, trials=300, seed=5)),
+        ("p,q", 1, SearchConfig(mode="random", max_states=1, trials=50, seed=1)),
+        ("p", 1, SearchConfig(mode="random", max_states=2, trials=200, seed=3)),
+        ("p,q,D p", 1, SearchConfig(mode="random", max_states=3, trials=300, seed=17)),
+        ("p & q,D p", 2, SearchConfig(mode="random", max_states=2, trials=100, seed=9)),
+        ("p,!q,p -> q", 1, SearchConfig(mode="random", max_states=4, trials=150, seed=2)),
+    ])
+    def test_experiment_equals_theory_set_reference(self, base, depth, cfg):
+        universe = close_universe([parse(text) for text in base.split(",")], depth)
+        assert (almost_monotonicity_experiment(universe, cfg)
+                == _reference_experiment(universe, cfg))
 
     def test_experiment_finds_reverified_violations(self):
         universe = close_universe((atom("p"), atom("q")), 1)
